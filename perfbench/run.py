@@ -10,14 +10,15 @@ the benchmark driver are compiled from the checkout's sources into
 written. The last line of stdout is the result object
 {"correct", "attempted", "failed", "metrics"}; the line before it is the
 run's provenance. Exit status is 0 only when every output matched its
-reference and every metric named in BENCHMARK.json was reported with its
-unit.
+reference and the driver reported a finite value for exactly the metrics
+BENCHMARK.json names; the units on the result line come from BENCHMARK.json.
 """
 
 import argparse
 import glob
 import hashlib
 import json
+import math
 import os
 import shutil
 import signal
@@ -44,7 +45,10 @@ def build_root():
     return path
 
 
-def load_catalog():
+def load_units():
+    """BENCHMARK.json is the one list of metric names and units: the driver
+    reports values by name, and run.py checks the names and attaches the
+    units."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     units = lambda key: {m["name"]: m["unit"] for m in spec[key]}
@@ -135,7 +139,7 @@ def driver_argv(bin_dir, work_dir, workload, seed, seconds, trace, deadline_s,
     argv = [os.path.join(bin_dir, "perfbench_driver"),
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace),
-            "--sdafd", os.path.join(bin_dir, "sdafd"),
+            "--sdafd", os.path.join(bin_dir, "sdaf", "sdafd"),
             "--work-dir", os.path.relpath(work_dir, ROOT),
             "--git-commit", provenance_commit(),
             "--deadline-s", "%.0f" % max(5.0, deadline_s)]
@@ -158,22 +162,31 @@ def parse_result(stdout):
 
 
 def check_result(result, units):
-    """Problems with a result object against the catalog (empty = fine)."""
-    problems = []
+    """Problems with the driver's result object against the metric names of
+    BENCHMARK.json (empty = fine)."""
     if result is None:
         return ["no result object"]
+    problems = []
     if set(result) != {"correct", "attempted", "failed", "metrics"}:
         problems.append("result keys %s" % sorted(result))
     metrics = result.get("metrics", {})
     if set(metrics) != set(units):
         problems.append("metrics missing %s, unexpected %s" % (
             sorted(set(units) - set(metrics)), sorted(set(metrics) - set(units))))
-    for name, m in metrics.items():
-        if name in units and m.get("unit") != units[name]:
-            problems.append("%s unit %r != %r" % (name, m.get("unit"), units[name]))
-        if not isinstance(m.get("value"), (int, float)):
-            problems.append("%s has no numeric value" % name)
+    for name, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            problems.append("%s has no finite value (%r)" % (name, value))
     return problems
+
+
+def with_units(result, units):
+    """The result line of the benchmark contract: each metric as
+    {"value", "unit"}, the unit from BENCHMARK.json."""
+    out = dict(result)
+    out["metrics"] = {name: {"value": value, "unit": units[name]}
+                      for name, value in result["metrics"].items()}
+    return json.dumps(out)
 
 
 def run_once(args, bin_dir, work_dir, units, start):
@@ -198,15 +211,16 @@ def run_once(args, bin_dir, work_dir, units, start):
         for p in problems:
             log("invalid result: " + p)
         return 1
-    for line in lines:
+    for line in lines[:-1]:
         print(line)
+    print(with_units(result, units))
     return 0 if code == 0 and result["correct"] else 1
 
 
 def self_test(bin_dir, work_dir, spec, e2e, layers):
-    """Tiny runs of every workload: every named metric present with its
-    unit in both modes, a perturbed reference detected, and an interrupted
-    wire run leaving no daemon or socket behind."""
+    """Tiny runs of every workload: a finite value for every metric
+    BENCHMARK.json names, in both modes, a perturbed reference detected,
+    and an interrupted wire run leaving no daemon or socket behind."""
     failures = []
 
     def run(workload, trace, extra=()):
@@ -261,7 +275,7 @@ def main():
     start = time.monotonic()
 
     try:
-        spec, e2e, layers = load_catalog()
+        spec, e2e, layers = load_units()
     except (OSError, ValueError, KeyError) as e:
         log("cannot read BENCHMARK.json: %s" % e)
         return 2

@@ -43,18 +43,27 @@ double proc_cpu_s(pid_t pid) {
   return static_cast<double>(utime + stime) / static_cast<double>(ticks);
 }
 
-double peak_rss_mb(pid_t pid) {
+namespace {
+
+// A "Vm...:" field of /proc/<pid>/status in MiB; -1 on failure.
+double status_mb(pid_t pid, const std::string& field) {
   const std::string path =
       pid == 0 ? "/proc/self/status" : "/proc/" + std::to_string(pid) + "/status";
   std::ifstream f(path);
   std::string line;
   while (std::getline(f, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;  // kB -> MiB
+    if (line.rfind(field, 0) == 0) {
+      return std::stod(line.substr(field.size())) / 1024.0;  // kB -> MiB
     }
   }
   return -1.0;
 }
+
+}  // namespace
+
+double peak_rss_mb(pid_t pid) { return status_mb(pid, "VmHWM:"); }
+
+double rss_mb(pid_t pid) { return status_mb(pid, "VmRSS:"); }
 
 unsigned nproc() {
   cpu_set_t set;
@@ -80,6 +89,11 @@ std::int64_t item_value(std::uint64_t seed, std::uint64_t stream,
       splitmix64(splitmix64(seed ^ (stream << 48)) + i) >> 1);
 }
 
+bool another_setup_trial(std::size_t done, double started, bool tiny) {
+  if (tiny) return done < 1;
+  return done < 5 || now_s() - started < 1.5;
+}
+
 double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
 double quantile(std::vector<double> v, double q) {
@@ -92,16 +106,18 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-void Result::set(const std::string& name, double value,
-                 const std::string& unit) {
+void Result::set(const std::string& name, double value) {
   for (auto& m : metrics) {
     if (m.name == name) {
       m.value = value;
-      m.unit = unit;
       return;
     }
   }
-  metrics.push_back({name, value, unit});
+  metrics.push_back({name, value});
+}
+
+void Result::not_exercised(std::initializer_list<const char*> names) {
+  for (const char* name : names) set(name, 0.0);
 }
 
 void Result::check(bool ok, const std::string& what) {

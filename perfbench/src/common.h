@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,8 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] double proc_cpu_s(pid_t pid);
 // Peak resident set (VmHWM) of a process in MiB; 0 = self. -1 on failure.
 [[nodiscard]] double peak_rss_mb(pid_t pid = 0);
+// Current resident set (VmRSS) of a process in MiB; 0 = self. -1 on failure.
+[[nodiscard]] double rss_mb(pid_t pid = 0);
 // Online CPUs this process may run on.
 [[nodiscard]] unsigned nproc();
 
@@ -46,14 +49,22 @@ struct OutputDigest {
   bool operator==(const OutputDigest&) const = default;
 };
 
+// Whether to run another set-up trial after `done` of them, begun at
+// `started` (now_s): trials repeat for 1.5 s and at least 5 times (once in
+// tiny mode), and setup_s is their median. The minimum matters where one
+// trial is a cold compile of most of a second.
+[[nodiscard]] bool another_setup_trial(std::size_t done, double started,
+                                       bool tiny);
+
 [[nodiscard]] double median(std::vector<double> v);
 // Linear-interpolated quantile, q in [0, 1]; 0 for an empty sample.
 [[nodiscard]] double quantile(std::vector<double> v, double q);
 
+// A metric's value; its unit comes from BENCHMARK.json, where run.py
+// attaches it.
 struct Metric {
   std::string name;
   double value = 0.0;
-  std::string unit;
 };
 
 // What one workload run reports. attempted/failed count checked operations
@@ -65,7 +76,11 @@ struct Result {
   std::uint64_t failed = 0;
   std::vector<std::string> failures;  // first few, for stderr
 
-  void set(const std::string& name, double value, const std::string& unit);
+  void set(const std::string& name, double value);
+  // Reports 0 for metrics of a layer the workload bypasses. Each workload
+  // names these itself, so a metric it stops setting goes missing and
+  // fails run.py's check instead of reading 0.
+  void not_exercised(std::initializer_list<const char*> names);
   void check(bool ok, const std::string& what);
   void count_ok(std::uint64_t n) { attempted += n; }
 };

@@ -1,6 +1,8 @@
 // ladder_pass and filter_dense: closed-loop in-process drivers over
 // exec::Session / exec::Stream ports on a shared PoolExecutor, checked
 // against a Sim run of the same inputs.
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -88,15 +90,30 @@ struct Episode {
   std::string error;
   double rate = 0.0;            // items/s over the steady window
   double cpu_us_per_item = 0.0;  // process CPU over the steady window
-  std::vector<double> latency_us;  // push -> poll, items in the window
+  std::size_t latency_samples = 0;  // push -> poll, items in the window
   double rtt_p50_us = 0.0, rtt_p99_us = 0.0;
   OutputDigest digest;
-  exec::RunReport report;
+  bool completed = false;   // RunReport verdict
+  bool traffic_ok = false;  // RunReport per-edge counts equal the reference's
   double open_s = 0.0, finish_s = 0.0;
   std::uint64_t push_calls = 0, push_short = 0, poll_calls = 0, poll_empty = 0;
   std::vector<double> barrier_ms;
   std::vector<double> snapshot_bytes;
   WorkerTotals workers;  // delta over the episode
+};
+
+// The driver's per-episode scratch, allocated and touched once before the
+// resident-set baseline is read, so peak_rss_mb counts the system's memory
+// and not the benchmark's bookkeeping.
+struct EpisodeBuffers {
+  std::vector<double> push_time;   // per item
+  std::vector<double> latency_us;  // items in the steady window
+  std::vector<exec::OutputPort::Item> items;
+
+  explicit EpisodeBuffers(const Workload& w)
+      : push_time(w.items, 0.0),
+        latency_us(w.items - w.window_start, 0.0),
+        items(kPollMax) {}
 };
 
 // One closed-loop stream of w.items inputs: push_batch_for (parks on a full
@@ -106,7 +123,8 @@ struct Episode {
 // the last push.
 Episode run_episode(const Workload& w, exec::Session& session,
                     core::CompileCache& cache, runtime::PoolExecutor& pool,
-                    Kind kind, std::uint64_t seed, Lane* lane) {
+                    Kind kind, std::uint64_t seed, const Reference& ref,
+                    EpisodeBuffers& buf, Lane* lane) {
   Episode ep;
   ep.kind = kind;
   Scope episode_span(lane, "episode");
@@ -129,9 +147,10 @@ Episode run_episode(const Workload& w, exec::Session& session,
   exec::OutputPort& out = stream->output(0);
   const std::uint64_t n = w.items;
   const std::uint64_t window_start = w.window_start;
-  std::vector<double> push_time(n, 0.0);
-  std::vector<exec::OutputPort::Item> items;
-  items.reserve(kPollMax);
+  std::vector<double>& push_time = buf.push_time;
+  std::vector<double>& latency_us = buf.latency_us;
+  std::vector<exec::OutputPort::Item>& items = buf.items;
+  latency_us.clear();
   double w0 = 0.0, w1 = 0.0, cpu0 = 0.0, cpu1 = 0.0;
   std::uint64_t pushed = 0;
   std::uint64_t next_snapshot = w.snapshot_period;
@@ -156,7 +175,7 @@ Episode run_episode(const Workload& w, exec::Session& session,
     for (const auto& it : items) {
       ep.digest.add(it.seq, it.value.as<std::int64_t>());
       if (it.seq >= window_start && it.seq < n)
-        ep.latency_us.push_back((t - push_time[it.seq]) * 1e6);
+        latency_us.push_back((t - push_time[it.seq]) * 1e6);
     }
     return got;
   };
@@ -231,7 +250,7 @@ Episode run_episode(const Workload& w, exec::Session& session,
       if (!it) break;
       ep.digest.add(it->seq, it->value.as<std::int64_t>());
       if (it->seq >= window_start)
-        ep.latency_us.push_back((now_s() - push_time[it->seq]) * 1e6);
+        latency_us.push_back((now_s() - push_time[it->seq]) * 1e6);
     }
   }
   const WorkerTotals after = worker_totals(*stream);
@@ -240,18 +259,24 @@ Episode run_episode(const Workload& w, exec::Session& session,
                 after.futex_parks - before.futex_parks,
                 after.wakes - before.wakes};
   const double t_fin = now_s();
+  exec::RunReport report;
   {
     Scope s(lane, "finish");
-    ep.report = stream->finish();
+    report = stream->finish();
   }
   ep.finish_s = now_s() - t_fin;
+  // Compared here, past the steady window, so no episode's per-edge report
+  // outlives it and the driver's memory stays flat across episodes.
+  ep.completed = report.completed;
+  ep.traffic_ok = same_traffic(report, ref.report);
   const double window_items = static_cast<double>(n - window_start);
   if (w1 > w0 && window_items > 0) {
     ep.rate = window_items / (w1 - w0);
     ep.cpu_us_per_item = (cpu1 - cpu0) * 1e6 / window_items;
   }
-  ep.rtt_p50_us = quantile(ep.latency_us, 0.50);
-  ep.rtt_p99_us = quantile(ep.latency_us, 0.99);
+  ep.latency_samples = latency_us.size();
+  ep.rtt_p50_us = quantile(latency_us, 0.50);
+  ep.rtt_p99_us = quantile(latency_us, 0.99);
   return ep;
 }
 
@@ -311,51 +336,10 @@ Result run_inproc(const Workload& w, const Options& opt) {
   Recorder recorder(std::string(w.name) + "-" + std::to_string(opt.seed));
   Lane* lane = opt.trace ? recorder.lane() : nullptr;
 
-  // ---- set-up, several times; the median is setup_s ----
-  std::vector<double> setups, compiles;
-  const double t_setup = now_s();
-  while (setups.size() < (opt.tiny ? 1u : 3u) ||
-         (!opt.tiny && setups.size() < 31 && now_s() - t_setup < 1.5)) {
-    const SetupTrial t = setup_trial(w, opt.workers, opt.seed, lane);
-    res.check(t.ok, std::string(w.name) + ": set-up trial stream");
-    setups.push_back(t.setup_s);
-    compiles.push_back(t.compile_s);
-  }
-
-  // ---- steady state: alternate 1-worker and W-worker episodes ----
-  runtime::PoolExecutor pool_one(1);
-  runtime::PoolExecutor pool_many(opt.workers);
+  // ---- the Sim reference, before anything is measured ----
   core::CompileCache cache;
   const auto compiled = cache.get_or_compile(w.graph);
   res.check(compiled->ok, std::string(w.name) + ": compile");
-  exec::Session session(w.graph, w.kernels(w.graph));
-
-  // Untraced runs compare 1 worker with W; the traced run compares W
-  // untraced with W traced (tracing overhead). Round 0 warms caches, page
-  // tables and CPU clocks and is only checked for correctness.
-  const std::vector<Kind> cycle =
-      opt.trace ? std::vector<Kind>{Kind::Many, Kind::ManyTraced}
-                : std::vector<Kind>{Kind::One, Kind::Many};
-  const int rounds_min = opt.tiny ? 1 : 4;
-  std::vector<Episode> episodes;
-  const double t_start = now_s();
-  for (int round = 0;; ++round) {
-    const bool enough = now_s() - t_start >= opt.seconds;
-    if (enough && round >= rounds_min) break;
-    for (std::size_t k = 0; k < cycle.size(); ++k) {
-      // Alternate which side runs first, so drift hits both equally.
-      const Kind kind = cycle[(k + static_cast<std::size_t>(round)) % cycle.size()];
-      runtime::PoolExecutor& pool = kind == Kind::One ? pool_one : pool_many;
-      const bool warmup = round == 0 && !opt.tiny;
-      episodes.push_back(run_episode(
-          w, session, cache, pool, kind, opt.seed,
-          kind == Kind::ManyTraced && !warmup ? lane : nullptr));
-      episodes.back().warmup = warmup;
-    }
-  }
-  const double peak_rss = peak_rss_mb();
-
-  // ---- correctness: every episode against the Sim reference ----
   Reference ref = sim_reference(
       w.graph, w.kernels(w.graph),
       stream_spec(w, *compiled, exec::Backend::Sim, nullptr), opt.seed, 0,
@@ -363,14 +347,66 @@ Result run_inproc(const Workload& w, const Options& opt) {
   if (opt.perturb_reference) ref.digest.hash ^= 1;
   res.check(ref.report.completed && ref.digest.count > 0,
             std::string(w.name) + ": Sim reference completed");
+
+  // The resident-set baseline: the driver's buffers are in it, and the
+  // pages the reference run freed are handed back first so that the
+  // measured streams cannot reuse them unseen.
+  EpisodeBuffers buffers(w);
+  malloc_trim(0);
+  const double rss_base = rss_mb();
+
+  // ---- steady state ----
+  runtime::PoolExecutor pool_many(opt.workers);
+  std::optional<runtime::PoolExecutor> pool_one;  // the traced run's baseline
+  if (opt.trace) pool_one.emplace(1);
+  exec::Session session(w.graph, w.kernels(w.graph));
+
+  // Untraced runs measure W workers. The traced run alternates W untraced,
+  // W traced (tracing overhead) and the 1-worker baseline. Round 0 warms
+  // caches, page tables and CPU clocks and is only checked for correctness.
+  const std::vector<Kind> cycle =
+      opt.trace ? std::vector<Kind>{Kind::One, Kind::Many, Kind::ManyTraced}
+                : std::vector<Kind>{Kind::Many};
+  const int rounds_min = opt.tiny ? 1 : 4;
+  std::vector<Episode> episodes;
+  const double t_start = now_s();
+  for (int round = 0;; ++round) {
+    const bool enough = now_s() - t_start >= opt.seconds;
+    if (enough && round >= rounds_min) break;
+    for (std::size_t k = 0; k < cycle.size(); ++k) {
+      // Rotate the order every round, so drift hits every kind equally.
+      const Kind kind = cycle[(k + static_cast<std::size_t>(round)) % cycle.size()];
+      runtime::PoolExecutor& pool = kind == Kind::One ? *pool_one : pool_many;
+      const bool warmup = round == 0 && !opt.tiny;
+      episodes.push_back(run_episode(
+          w, session, cache, pool, kind, opt.seed, ref, buffers,
+          kind == Kind::ManyTraced && !warmup ? lane : nullptr));
+      episodes.back().warmup = warmup;
+    }
+  }
+  // High-water resident set above the baseline: the library's compiles,
+  // pools, rings and streams.
+  const double peak_rss = peak_rss_mb() - rss_base;
+
+  // ---- correctness: every episode against the Sim reference ----
   for (const Episode& ep : episodes) {
     res.check(ep.ok, std::string(w.name) + ": episode ran (" + ep.error + ")");
-    res.check(ep.report.completed, std::string(w.name) + ": completed verdict");
+    res.check(ep.completed, std::string(w.name) + ": completed verdict");
     res.check(ep.digest == ref.digest,
               std::string(w.name) + ": sink output equals Sim reference");
-    res.check(same_traffic(ep.report, ref.report),
+    res.check(ep.traffic_ok,
               std::string(w.name) + ": per-edge data/dummy counts equal Sim");
     res.count_ok(ep.push_calls + 2);  // pushes + open
+  }
+
+  // ---- set-up trials, after the resident-set peak is read ----
+  std::vector<double> setups, compiles;
+  const double t_setup = now_s();
+  while (another_setup_trial(setups.size(), t_setup, opt.tiny)) {
+    const SetupTrial t = setup_trial(w, opt.workers, opt.seed, lane);
+    res.check(t.ok, std::string(w.name) + ": set-up trial stream");
+    setups.push_back(t.setup_s);
+    compiles.push_back(t.compile_s);
   }
 
   auto pick = [&](Kind kind, auto field) {
@@ -385,19 +421,16 @@ Result run_inproc(const Workload& w, const Options& opt) {
       static_cast<double>(ref.report.total_dummies()) / items;
 
   if (!opt.trace) {
-    res.set("setup_s", median(setups), "s");
-    res.set("items_per_s", median(pick(Kind::Many, rate)), "1/s");
-    res.set("items_per_s_1w", median(pick(Kind::One, rate)), "1/s");
+    res.set("setup_s", median(setups));
+    res.set("items_per_s", median(pick(Kind::Many, rate)));
     res.set("cpu_us_per_item",
             median(pick(Kind::Many,
-                        [](const Episode& e) { return e.cpu_us_per_item; })),
-            "us");
+                        [](const Episode& e) { return e.cpu_us_per_item; })));
     // Per-episode percentiles (thousands of samples each), then the
     // median across episodes.
     res.set("rtt_p50_us",
-            median(pick(Kind::Many, [](const Episode& e) { return e.rtt_p50_us; })),
-            "us");
-    res.set("peak_rss_mb", peak_rss, "MiB");
+            median(pick(Kind::Many, [](const Episode& e) { return e.rtt_p50_us; })));
+    res.set("peak_rss_mb", peak_rss);
     std::fprintf(stderr,
                  "perfbench: %s setup trials=%zu episodes=%zu items/episode=%llu "
                  "dummies_per_item=%.6f\n",
@@ -409,7 +442,7 @@ Result run_inproc(const Workload& w, const Options& opt) {
                    "rtt p50/p99 us=%.0f/%.0f (%zu samples)\n",
                    ep.kind == Kind::One ? "1w" : "W ",
                    ep.warmup ? " warm-up" : "", ep.rate, ep.cpu_us_per_item,
-                   ep.rtt_p50_us, ep.rtt_p99_us, ep.latency_us.size());
+                   ep.rtt_p50_us, ep.rtt_p99_us, ep.latency_samples);
     return res;
   }
 
@@ -446,53 +479,47 @@ Result run_inproc(const Workload& w, const Options& opt) {
   const double untraced_rate = median(pick(Kind::Many, rate));
   const double traced_rate = median(pick(Kind::ManyTraced, rate));
 
-  res.set("core.compile_s", median(compiles), "s");
+  res.set("core.compile_s", median(compiles));
   res.set("core.cache_hit_ratio",
           static_cast<double>(cstats.hits) /
               static_cast<double>(std::max<std::uint64_t>(
-                  1, cstats.hits + cstats.misses)),
-          "ratio");
+                  1, cstats.hits + cstats.misses)));
   res.set("exec.open_s",
-          median(pick(Kind::ManyTraced, [](const Episode& e) { return e.open_s; })),
-          "s");
-  res.set("exec.push_blocked_frac", span_s("push_batch_for") / span_s("drive"),
-          "ratio");
+          median(pick(Kind::ManyTraced, [](const Episode& e) { return e.open_s; })));
+  res.set("exec.push_blocked_frac", span_s("push_batch_for") / span_s("drive"));
   res.set("exec.push_short_ratio",
           static_cast<double>(push_short) /
-              static_cast<double>(std::max<std::uint64_t>(1, push_calls)),
-          "ratio");
+              static_cast<double>(std::max<std::uint64_t>(1, push_calls)));
   res.set("exec.poll_empty_ratio",
           static_cast<double>(poll_empty) /
-              static_cast<double>(std::max<std::uint64_t>(1, poll_calls)),
-          "ratio");
+              static_cast<double>(std::max<std::uint64_t>(1, poll_calls)));
   res.set("exec.finish_s",
           median(pick(Kind::ManyTraced,
-                      [](const Episode& e) { return e.finish_s; })),
-          "s");
-  res.set("runtime.firings_per_item", firings_per_item, "count");
-  res.set("runtime.cpu_ns_per_firing", untraced_cpu * 1e3 / firings_per_item,
-          "ns");
-  res.set("runtime.steals_per_item", static_cast<double>(wt.steals) / traced_items,
-          "count");
+                      [](const Episode& e) { return e.finish_s; })));
+  res.set("items_per_s_1w", median(pick(Kind::One, rate)));
+  res.set("runtime.firings_per_item", firings_per_item);
+  res.set("runtime.cpu_ns_per_firing", untraced_cpu * 1e3 / firings_per_item);
+  res.set("runtime.steals_per_item", static_cast<double>(wt.steals) / traced_items);
   res.set("runtime.steal_fail_ratio",
           static_cast<double>(wt.steal_fails) /
               static_cast<double>(std::max<std::uint64_t>(
-                  1, wt.steals + wt.steal_fails)),
-          "ratio");
+                  1, wt.steals + wt.steal_fails)));
   res.set("runtime.futex_parks_per_item",
-          static_cast<double>(wt.futex_parks) / traced_items, "count");
-  res.set("runtime.wakes_per_item", static_cast<double>(wt.wakes) / traced_items,
-          "count");
-  res.set("dummies_per_item", dummies_per_item, "count");
-  res.set("ckpt.barrier_ms_p50", quantile(barrier_ms, 0.5), "ms");
-  res.set("ckpt.barrier_ms_max", quantile(barrier_ms, 1.0), "ms");
-  res.set("ckpt.snapshot_bytes", median(snap_bytes), "bytes");
+          static_cast<double>(wt.futex_parks) / traced_items);
+  res.set("runtime.wakes_per_item", static_cast<double>(wt.wakes) / traced_items);
+  res.set("dummies_per_item", dummies_per_item);
+  if (w.snapshot_period != 0) {
+    res.set("ckpt.barrier_ms_p50", quantile(barrier_ms, 0.5));
+    res.set("ckpt.barrier_ms_max", quantile(barrier_ms, 1.0));
+    res.set("ckpt.snapshot_bytes", median(snap_bytes));
+  } else {
+    res.not_exercised(
+        {"ckpt.barrier_ms_p50", "ckpt.barrier_ms_max", "ckpt.snapshot_bytes"});
+  }
   res.set("trace.overhead_frac",
-          untraced_rate > 0 ? (untraced_rate - traced_rate) / untraced_rate : 0.0,
-          "ratio");
+          untraced_rate > 0 ? (untraced_rate - traced_rate) / untraced_rate : 0.0);
   res.set("rtt_p99_us",
-          median(pick(Kind::Many, [](const Episode& e) { return e.rtt_p99_us; })),
-          "us");
+          median(pick(Kind::Many, [](const Episode& e) { return e.rtt_p99_us; })));
 
   const MicroCosts micro = measure_micro(opt.tiny);
   add_micro_metrics(res, micro);
@@ -503,7 +530,12 @@ Result run_inproc(const Workload& w, const Options& opt) {
   ops.port_msgs = 1.0 + static_cast<double>(ref.digest.count) / items;
   ops.futex_parks = static_cast<double>(wt.futex_parks) / traced_items;
   add_accounting(res, micro, ops, untraced_cpu, w.name);
-  fill_unexercised_layers(res);
+  // No client, daemon or DRR lanes in-process.
+  res.not_exercised({"net.polls_per_item", "net.push_rtt_us", "net.poll_rtt_us",
+                     "net.short_ack_ratio", "net.server_frames_per_item",
+                     "net.push_timeouts_per_item", "qos.interactive_dequeue_share",
+                     "qos.interactive_queue_depth_max",
+                     "qos.batch_queue_depth_max"});
 
   if (!opt.trace_out.empty() && !recorder.write_chrome(opt.trace_out, 50000))
     std::fprintf(stderr, "perfbench: cannot write %s\n", opt.trace_out.c_str());

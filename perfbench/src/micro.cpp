@@ -204,12 +204,12 @@ MicroCosts measure_micro(bool tiny) {
 }
 
 void add_micro_metrics(Result& r, const MicroCosts& m) {
-  r.set("runtime.ring_op_ns", m.ring_op_ns, "ns");
-  r.set("runtime.ring_dummy_run_ns", m.ring_dummy_run_ns, "ns");
-  r.set("runtime.channel_op_ns", m.channel_op_ns, "ns");
-  r.set("runtime.park_wake_ns", m.park_wake_ns, "ns");
-  r.set("runtime.firing_step_ns", m.firing_step_ns, "ns");
-  r.set("net.frame_codec_ns_per_byte", m.frame_codec_ns_per_byte, "ns");
+  r.set("runtime.ring_op_ns", m.ring_op_ns);
+  r.set("runtime.ring_dummy_run_ns", m.ring_dummy_run_ns);
+  r.set("runtime.channel_op_ns", m.channel_op_ns);
+  r.set("runtime.park_wake_ns", m.park_wake_ns);
+  r.set("runtime.firing_step_ns", m.firing_step_ns);
+  r.set("net.frame_codec_ns_per_byte", m.frame_codec_ns_per_byte);
 }
 
 void add_accounting(Result& r, const MicroCosts& m, const OpCounts& per_item,
@@ -225,8 +225,8 @@ void add_accounting(Result& r, const MicroCosts& m, const OpCounts& per_item,
       measured_cpu_us_per_item > 0
           ? (measured_cpu_us_per_item - predicted_us) / measured_cpu_us_per_item
           : 0.0;
-  r.set("accounting.predicted_cpu_us_per_item", predicted_us, "us");
-  r.set("accounting.unexplained_frac", unexplained, "ratio");
+  r.set("accounting.predicted_cpu_us_per_item", predicted_us);
+  r.set("accounting.unexplained_frac", unexplained);
   std::fprintf(stderr,
                "perfbench: %s accounting (ns/item): firing %.0f + ring %.0f + "
                "dummy-run %.0f + port %.0f + park %.0f + codec %.0f = "

@@ -444,12 +444,12 @@ Result run_wire_mix(const Options& opt) {
   // thousands of interactive round trips in the window.
   const std::uint64_t batch_items = opt.tiny ? 4096 : (1u << 18);
 
-  // ---- set-up: fresh daemon -> connect -> Open -> first accepted push ----
+  // ---- set-up trials: fresh daemon -> connect -> Open -> first accepted
+  // push ----
   std::vector<double> setups, miss_opens;
   std::uint64_t opens = 0, hits = 0;
   const double t_setup = now_s();
-  while (setups.size() < (opt.tiny ? 1u : 3u) ||
-         (!opt.tiny && setups.size() < 31 && now_s() - t_setup < 1.5)) {
+  while (another_setup_trial(setups.size(), t_setup, opt.tiny)) {
     const SetupTrial t = setup_trial(opt, opt.seed, main_lane, res);
     setups.push_back(t.setup_s);
     miss_opens.push_back(t.open_s);
@@ -460,7 +460,8 @@ Result run_wire_mix(const Options& opt) {
   // ---- steady state ----
   Daemon many(opt.sdafd, opt.work_dir, kDaemonWorkers, kTenantCredits);
   Daemon one(opt.sdafd, opt.work_dir, 1, kTenantCredits);
-  const bool need_one = !opt.trace;
+  // The 1-worker daemon is the single-worker baseline of the traced run.
+  const bool need_one = opt.trace;
   res.check(many.start() && (!need_one || one.start()), "wire_mix: daemon start");
   std::vector<std::optional<net::Client>> conns_many(3), conns_one(3);
   std::optional<net::Client> observer_many, observer_one;
@@ -481,25 +482,24 @@ Result run_wire_mix(const Options& opt) {
   const double t_start = now_s();
   const int rounds_min = opt.tiny ? 1 : 4;
   std::uint16_t id_many = 1, id_one = 1;
+  // Untraced: the W-worker daemon. Traced: the W-worker daemon untraced
+  // (kind 0) and traced (kind 1), and the 1-worker daemon (kind 2), in an
+  // order that rotates every round so drift hits all of them equally.
+  const int kinds = opt.trace ? 3 : 1;
   for (int round = 0;; ++round) {
     if (now_s() - t_start >= opt.seconds && round >= rounds_min) break;
     const std::size_t first_of_round = episodes.size();
-    // Untraced: alternate the W-worker and 1-worker daemons. Traced: the
-    // W-worker daemon untraced, then traced.
-    for (int k = 0; k < 2; ++k) {
-      const bool first = ((k + round) % 2) == 0;
-      if (opt.trace) {
-        const bool traced = !first && (round > 0 || opt.tiny);
+    for (int k = 0; k < kinds; ++k) {
+      const int kind = (k + round) % kinds;
+      if (kind == 2) {
+        episodes.push_back(run_episode(one, conns_one, nullptr, id_one++,
+                                       batch_items, opt.seed, false, nullptr, res));
+      } else {
+        const bool traced = kind == 1 && (round > 0 || opt.tiny);
         episodes.push_back(run_episode(many, conns_many,
                                        traced ? &*observer_many : nullptr,
                                        id_many++, batch_items, opt.seed, true,
                                        traced ? &recorder : nullptr, res));
-      } else if (first) {
-        episodes.push_back(run_episode(many, conns_many, nullptr, id_many++,
-                                       batch_items, opt.seed, true, nullptr, res));
-      } else {
-        episodes.push_back(run_episode(one, conns_one, nullptr, id_one++,
-                                       batch_items, opt.seed, false, nullptr, res));
       }
     }
     // Round 0 warms both daemons and is only checked for correctness.
@@ -561,17 +561,15 @@ Result run_wire_mix(const Options& opt) {
   const auto cpu = [](const Episode& e) { return e.cpu_us_per_item; };
 
   if (!opt.trace) {
-    res.set("setup_s", median(setups), "s");
-    res.set("items_per_s", median(pick(true, false, rate)), "1/s");
-    res.set("items_per_s_1w", median(pick(false, false, rate)), "1/s");
-    res.set("cpu_us_per_item", median(pick(true, false, cpu)), "us");
+    res.set("setup_s", median(setups));
+    res.set("items_per_s", median(pick(true, false, rate)));
+    res.set("cpu_us_per_item", median(pick(true, false, cpu)));
     // Per-episode percentiles of the interactive round trips, then the
     // median across episodes.
     res.set("rtt_p50_us",
             median(pick(true, false,
-                        [](const Episode& e) { return quantile(e.conns[0].rtt_us, 0.50); })),
-            "us");
-    res.set("peak_rss_mb", peak_rss, "MiB");
+                        [](const Episode& e) { return quantile(e.conns[0].rtt_us, 0.50); })));
+    res.set("peak_rss_mb", peak_rss);
     std::fprintf(stderr,
                  "perfbench: wire_mix setup trials=%zu episodes=%zu batch "
                  "items/connection=%llu\n",
@@ -646,45 +644,38 @@ Result run_wire_mix(const Options& opt) {
   const auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
 
   res.set("core.compile_s",
-          std::max(0.0, median(miss_opens) - median(open_s)), "s");
+          std::max(0.0, median(miss_opens) - median(open_s)));
   res.set("core.cache_hit_ratio", ratio(static_cast<double>(hits),
-                                        static_cast<double>(opens)),
-          "ratio");
-  res.set("exec.open_s", median(open_s), "s");
-  res.set("exec.push_blocked_frac", ratio(span_s("client_push"), span_s("drive")),
-          "ratio");
+                                        static_cast<double>(opens)));
+  res.set("exec.open_s", median(open_s));
+  res.set("exec.push_blocked_frac", ratio(span_s("client_push"), span_s("drive")));
   res.set("exec.push_short_ratio", ratio(static_cast<double>(push_short),
-                                         static_cast<double>(push_calls)),
-          "ratio");
+                                         static_cast<double>(push_calls)));
   res.set("exec.poll_empty_ratio", ratio(static_cast<double>(poll_empty),
-                                         static_cast<double>(poll_calls)),
-          "ratio");
-  res.set("exec.finish_s", median(finish_s), "s");
-  res.set("runtime.firings_per_item", firings_per_item, "count");
-  res.set("runtime.cpu_ns_per_firing", ratio(untraced_cpu * 1e3, firings_per_item),
-          "ns");
-  res.set("runtime.steals_per_item", d_steals / wi, "count");
-  res.set("runtime.steal_fail_ratio", ratio(d_fails, d_steals + d_fails), "ratio");
-  res.set("runtime.futex_parks_per_item", d_futex / wi, "count");
-  res.set("runtime.wakes_per_item", d_wakes / wi, "count");
-  res.set("dummies_per_item", ratio(dummies, items), "count");
-  res.set("net.polls_per_item", ratio(static_cast<double>(poll_calls), items), "count");
-  res.set("net.push_rtt_us", median(push_rtt), "us");
-  res.set("net.poll_rtt_us", median(poll_rtt), "us");
+                                         static_cast<double>(poll_calls)));
+  res.set("exec.finish_s", median(finish_s));
+  res.set("runtime.firings_per_item", firings_per_item);
+  res.set("runtime.cpu_ns_per_firing", ratio(untraced_cpu * 1e3, firings_per_item));
+  res.set("runtime.steals_per_item", d_steals / wi);
+  res.set("runtime.steal_fail_ratio", ratio(d_fails, d_steals + d_fails));
+  res.set("runtime.futex_parks_per_item", d_futex / wi);
+  res.set("runtime.wakes_per_item", d_wakes / wi);
+  res.set("dummies_per_item", ratio(dummies, items));
+  res.set("net.polls_per_item", ratio(static_cast<double>(poll_calls), items));
+  res.set("net.push_rtt_us", median(push_rtt));
+  res.set("net.poll_rtt_us", median(poll_rtt));
   res.set("net.short_ack_ratio", ratio(static_cast<double>(push_short),
-                                       static_cast<double>(push_calls)),
-          "ratio");
-  res.set("net.server_frames_per_item", d_frames / wi, "count");
-  res.set("net.push_timeouts_per_item", d_timeouts / wi, "count");
-  res.set("qos.interactive_dequeue_share", ratio(d_inter, d_inter + d_batch), "ratio");
-  res.set("qos.interactive_queue_depth_max", inter_depth, "count");
-  res.set("qos.batch_queue_depth_max", batch_depth, "count");
-  res.set("trace.overhead_frac", ratio(untraced_rate - traced_rate, untraced_rate),
-          "ratio");
+                                       static_cast<double>(push_calls)));
+  res.set("net.server_frames_per_item", d_frames / wi);
+  res.set("net.push_timeouts_per_item", d_timeouts / wi);
+  res.set("qos.interactive_dequeue_share", ratio(d_inter, d_inter + d_batch));
+  res.set("qos.interactive_queue_depth_max", inter_depth);
+  res.set("qos.batch_queue_depth_max", batch_depth);
+  res.set("trace.overhead_frac", ratio(untraced_rate - traced_rate, untraced_rate));
+  res.set("items_per_s_1w", median(pick(false, false, rate)));
   res.set("rtt_p99_us",
           median(pick(true, false,
-                      [](const Episode& e) { return quantile(e.conns[0].rtt_us, 0.99); })),
-          "us");
+                      [](const Episode& e) { return quantile(e.conns[0].rtt_us, 0.99); })));
 
   const MicroCosts micro = measure_micro(opt.tiny);
   add_micro_metrics(res, micro);
@@ -708,7 +699,9 @@ Result run_wire_mix(const Options& opt) {
   ops.wire_bytes =
       static_cast<double>(pw.bytes().size() + dw.bytes().size()) / kBatch;
   add_accounting(res, micro, ops, untraced_cpu, "wire_mix");
-  fill_unexercised_layers(res);
+  // No barrier snapshots on the wire path.
+  res.not_exercised(
+      {"ckpt.barrier_ms_p50", "ckpt.barrier_ms_max", "ckpt.snapshot_bytes"});
   if (!opt.trace_out.empty() && !recorder.write_chrome(opt.trace_out, 50000))
     std::fprintf(stderr, "perfbench: cannot write %s\n", opt.trace_out.c_str());
   return res;

@@ -45,8 +45,4 @@ struct OpCounts {
 void add_accounting(Result& r, const MicroCosts& m, const OpCounts& per_item,
                     double measured_cpu_us_per_item, const char* workload);
 
-// Sets every per-layer metric a workload does not exercise to 0, so the
-// traced output always carries the full set.
-void fill_unexercised_layers(Result& r);
-
 }  // namespace perfbench
