@@ -79,9 +79,8 @@ void run_latency(benchmark::State& state, exec::Backend backend) {
       Stopwatch rtt;
       const bool pushed = in.push();
       SDAF_ASSERT(pushed);
-      // next() parks in the tap's condition variable on the concurrent
-      // backends (so the measurement includes the real wake-up path) and
-      // pumps sweeps on Sim.
+      // next() parks on the tap's event word on Pooled (so the measurement
+      // includes the real wake-up path) and pumps sweeps on Sim.
       auto item = out.next();
       SDAF_ASSERT(item.has_value());
       samples_ns.push_back(rtt.elapsed_seconds() * 1e9);
@@ -102,12 +101,6 @@ void BM_StreamLatency_Sim(benchmark::State& state) {
   run_latency(state, exec::Backend::Sim);
 }
 BENCHMARK(BM_StreamLatency_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
-
-void BM_StreamLatency_Threaded(benchmark::State& state) {
-  run_latency(state, exec::Backend::Threaded);
-}
-BENCHMARK(BM_StreamLatency_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 void BM_StreamLatency_Pooled(benchmark::State& state) {
   run_latency(state, exec::Backend::Pooled);
@@ -177,12 +170,6 @@ void BM_StreamIngest_Sim(benchmark::State& state) {
   run_ingest(state, exec::Backend::Sim, /*pass_rate=*/0.1);
 }
 BENCHMARK(BM_StreamIngest_Sim)->Iterations(3)->Unit(benchmark::kMillisecond);
-
-void BM_StreamIngest_Threaded(benchmark::State& state) {
-  run_ingest(state, exec::Backend::Threaded, /*pass_rate=*/0.1);
-}
-BENCHMARK(BM_StreamIngest_Threaded)
-    ->Iterations(3)->Unit(benchmark::kMillisecond);
 
 void BM_StreamIngest_Pooled(benchmark::State& state) {
   run_ingest(state, exec::Backend::Pooled, /*pass_rate=*/0.1);

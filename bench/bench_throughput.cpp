@@ -1,4 +1,4 @@
-// E10 -- end-to-end threaded throughput: what the avoidance wrappers cost
+// E10 -- end-to-end pooled throughput: what the avoidance wrappers cost
 // when the application actually computes. The workload is the
 // continuation-edge ladder (workloads::continuation_ladder): a filter stage
 // whose dropped items must continue down a relay chain as dummies, so at
@@ -53,7 +53,7 @@ void run_throughput(benchmark::State& state, double pass_rate,
   for (auto _ : state) {
     exec::Session session(g, ladder_kernels(g, pass_rate, 17));
     exec::RunSpec spec;
-    spec.backend = exec::Backend::Threaded;
+    spec.backend = exec::Backend::Pooled;
     spec.mode = runtime::DummyMode::Propagation;
     spec.apply(compiled);
     spec.num_inputs = kItems;
@@ -64,7 +64,7 @@ void run_throughput(benchmark::State& state, double pass_rate,
     dummies += r.total_dummies();
     wall += r.wall_seconds;
   }
-  // Rate against the executor's own wall time: the run is multi-threaded,
+  // Rate against the run's own wall time: the pool's workers do the work,
   // so the benchmark thread's CPU time is not meaningful.
   state.counters["items_per_second"] =
       wall > 0 ? static_cast<double>(processed) / wall : 0.0;
@@ -126,7 +126,7 @@ void BM_Throughput_Pass10_MetricsOverhead(benchmark::State& state) {
     for (int metrics_on = 0; metrics_on < 2; ++metrics_on) {
       exec::Session session(g, ladder_kernels(g, /*pass_rate=*/0.1, 17));
       exec::RunSpec spec;
-      spec.backend = exec::Backend::Threaded;
+      spec.backend = exec::Backend::Pooled;
       spec.mode = runtime::DummyMode::Propagation;
       spec.apply(compiled);
       spec.num_inputs = kItems;

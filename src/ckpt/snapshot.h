@@ -129,7 +129,7 @@ struct StreamSnapshot {
 // a snapshot begun after part of the graph drained still completes.
 //
 // Threading: node_checkpoint/node_finished are called from whatever thread
-// owns the node's FiringCore (sim sweep, node thread, pool worker); the
+// owns the node's FiringCore (sim sweep or pool worker); the
 // initiator polls from the stream's caller thread. One mutex serializes
 // everything -- these are per-barrier events, not data-plane traffic.
 class SnapshotPlane {

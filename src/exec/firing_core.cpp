@@ -267,9 +267,7 @@ bool FiringCore::drain_pending() {
 std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
   if (in_slots_ == 0 && port_fed_) {
-    // Port-fed source: one feed message per firing. The blocking contract
-    // mirrors interior alignment -- the sink may only wait inside peek_feed
-    // when no outputs are pending.
+    // Port-fed source: one feed message per firing.
     auto head = sink_.peek_feed(/*may_wait=*/pending_.empty());
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {

@@ -1,5 +1,5 @@
-// The one true firing rule. Every execution backend -- the deterministic
-// simulator, the thread-per-node executor, and the pooled scheduler -- runs
+// The one true firing rule. Both execution backends -- the deterministic
+// simulator and the pooled scheduler -- run
 // each node through this state machine: sequence-number alignment at the
 // minimum input head, kernel invocation only when data arrived, wrapper-
 // driven dummy origination/forwarding, per-channel-asynchronous output
@@ -20,8 +20,8 @@
 // which the differential tests enforce.
 //
 // A FiringCore is single-owner: exactly one thread may call step() at a
-// time (the simulator sweep, the node's own OS thread, or the pool worker
-// that currently owns the task). The sink callbacks are invoked from inside
+// time (the simulator sweep, or the pool worker that currently owns the
+// task). The sink callbacks are invoked from inside
 // step() on that same thread.
 #pragma once
 
@@ -51,11 +51,9 @@ enum class PushOutcome : std::uint8_t {
 // Backend delivery contract. Peeks/pops act on in-slots, pushes on
 // out-slots (slot indices follow StreamGraph::in_edges/out_edges order).
 //
-//   simulator      peek_head = ring head view, try_push = capacity check
-//   thread-per-node peek_head *blocks* until a head or abort; pushes are
-//                  non-blocking and the runner waits on its ProducerSignal
-//   pooled         peeks/pushes are non-blocking and additionally wake the
-//                  peer node on empty->non-empty / full->non-full edges
+//   simulator  peek_head = ring head view, try_push = capacity check
+//   pooled     peeks/pushes are non-blocking and additionally wake the
+//              peer node on empty->non-empty / full->non-full edges
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
@@ -63,10 +61,9 @@ class DeliverySink {
   // Payload-free view of the head of in-slot `slot` (seq, kind, and the
   // length of the consecutive dummy run starting there), or empty when no
   // message is available (backend-specific: empty channel, or aborted run).
-  // `may_wait` is the blocking-backend contract: the core sets it only when
-  // it holds no undelivered outputs, so a sink that blocks inside peek
-  // (thread-per-node) can never wedge the graph by sitting on pending
-  // messages; with may_wait == false every sink must return immediately.
+  // `may_wait` is true only when the core holds no undelivered outputs. No
+  // backend blocks any more: every sink returns immediately and ignores it
+  // (the signature is kept for sinks outside src/, e.g. perfbench's).
   [[nodiscard]] virtual std::optional<runtime::HeadView> peek_head(
       std::size_t slot, bool may_wait) = 0;
 
@@ -100,7 +97,7 @@ class DeliverySink {
 
   // Port-fed sources only (FiringCore constructed with port_fed = true):
   // head view / removal of the injected ingress feed, with the same
-  // blocking contract as peek_head. The defaults assert -- a backend that
+  // `may_wait` meaning as peek_head. The defaults assert -- a backend that
   // runs port-fed sources must override both.
   [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed(
       bool may_wait);
@@ -158,7 +155,7 @@ class FiringCore {
   // live behind `sink`. `batch` is the firing quantum (see RunSpec::batch;
   // clamped to >= 1). `tracer` (optional, not owned) records per-message
   // events; `tick` (optional, not owned) supplies the tracer timestamp --
-  // the simulator points it at its sweep counter, concurrent backends leave
+  // the simulator points it at its sweep counter, the pooled backend leaves
   // it null (tick 0; event *order* across threads is not meaningful there).
   // `port_fed` (sources only, in_slots == 0): consume the sink's injected
   // feed instead of self-generating num_inputs sequence numbers -- a

@@ -175,7 +175,7 @@ enum class KernelKind : std::uint8_t {
 };
 
 struct OpenFrame {
-  std::uint8_t backend = 0;  // exec::Backend
+  std::uint8_t backend = 0;  // exec::Backend: 0 Sim, 2 Pooled; 1 reserved
   std::uint8_t mode = 0;     // runtime::DummyMode; None = avoidance off
   KernelKind kernel = KernelKind::Passthrough;
   double pass_rate = 1.0;

@@ -18,8 +18,9 @@
 //      clients opening the same topology skip CS4 decomposition and
 //      interval computation; OpenOk reports the hit so clients can see it.
 //
-// All streams run on one shared runtime::PoolExecutor (Pooled backend) or
-// on per-stream resources (Sim/Threaded, as the client requests).
+// Pooled streams run on one shared runtime::PoolExecutor; Sim streams sweep
+// on the server thread. The wire backend byte accepts only those two
+// (0 Sim, 2 Pooled); anything else is a BadFrame.
 // Lifecycle: start() binds, run() serves until request_stop(), and
 // request_drain() begins a graceful shutdown -- listeners close, live
 // connections get drain_grace to Finish, then the loop exits and teardown

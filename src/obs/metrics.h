@@ -1,4 +1,4 @@
-// sdaf::obs -- the measurement substrate for all three backends.
+// sdaf::obs -- the measurement substrate for both backends.
 //
 // MetricsRegistry holds cache-line-padded counter shards -- one NodeCounters
 // per node, one ChannelCounters per edge (per-worker WorkerCounters shards
@@ -13,7 +13,7 @@
 // are incremented at the same FiringCore sites on every backend (emission
 // is counted where outputs are queued, consumption where heads are popped),
 // so the sim's deterministic counts are a bit-exact reference for the
-// threaded and pooled backends -- the differential tests assert exactly
+// pooled backend -- the differential tests assert exactly
 // that. Channel counters count logical messages (a coalesced run of k
 // dummies counts k), matching the paper's buffer-size semantics.
 //
@@ -59,7 +59,7 @@ struct alignas(64) ChannelCounters {
   std::atomic<std::uint64_t> data_pushed{0};
   std::atomic<std::uint64_t> dummies_pushed{0};
   std::atomic<std::uint64_t> pops{0};         // logical messages popped
-  std::atomic<std::uint64_t> full_stalls{0};  // pushes refused/parked on Full
+  std::atomic<std::uint64_t> full_stalls{0};  // pushes refused on Full
   std::atomic<std::uint64_t> empty_waits{0};  // peeks that found it empty
   std::atomic<std::int64_t> high_water{0};    // max logical occupancy seen
 

@@ -1,7 +1,7 @@
-// Fixed-capacity message buffer with dummy run-length coalescing: the one
-// queue representation behind every backend's channels (BoundedChannel for
-// the concurrent backends, SimChannel for the deterministic sweep), so the
-// coalescing semantics cannot drift between them.
+// Fixed-capacity message buffer with dummy run-length coalescing: the
+// simulator's channel (SimChannel) and the sequential model the pooled
+// backend's lock-free SpscRing is tested against (tests/test_spsc_ring),
+// so the coalescing semantics cannot drift between the backends.
 //
 // A run of k dummies with consecutive sequence numbers is stored as a
 // single {first_seq, count} segment: pushing the (i+1)-th dummy of a run is

@@ -8,7 +8,7 @@
 // a channel, which is what lets a fixed worker pool run graphs with orders
 // of magnitude more nodes than threads. The firing semantics themselves
 // (alignment, dummy wrappers, EOS flood) live in src/exec/firing_core.cpp,
-// shared with the simulator and the thread-per-node executor.
+// shared with the simulator.
 #pragma once
 
 #include <cstdint>

@@ -23,7 +23,7 @@ namespace {
 
 // One edge's buffer: the shared coalescing ring plus traffic accounting.
 // Logical occupancy (a run of k dummies counts k) drives full()/capacity,
-// so buffer-size semantics match the concurrent backends exactly.
+// so buffer-size semantics match the pooled backend exactly.
 struct SimChannel {
   explicit SimChannel(std::size_t capacity) : ring(capacity) {}
 

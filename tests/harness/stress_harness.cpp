@@ -62,6 +62,19 @@ const char* to_string(Sched s) {
   return "?";
 }
 
+const char* BackendLeg::name() const {
+  if (backend == exec::Backend::Sim) return "sim";
+  return sequential ? "pooled-1w" : "pooled";
+}
+
+void BackendLeg::apply(exec::RunSpec& spec) const {
+  spec.backend = backend;
+  if (sequential) {
+    spec.pool = nullptr;
+    spec.pool_workers = 1;
+  }
+}
+
 namespace {
 
 std::optional<Sched> sched_from_string(const std::string& s) {
@@ -409,14 +422,19 @@ std::optional<std::string> run_differential(const CaseSpec& spec,
   if (auto err = check_dump(reference, "sim"); err.has_value())
     return *err + "\n  repro: " + repro_command(spec);
 
-  std::vector<exec::Backend> backends = {exec::Backend::Threaded,
-                                         exec::Backend::Pooled};
-  if (spec.feed == FeedMode::Port)
-    backends.insert(backends.begin(), exec::Backend::Sim);
-  for (const exec::Backend backend : backends) {
-    const exec::RunReport report = run_backend(g, spec, backend, pool);
-    const std::string label = std::string(exec::to_string(backend)) +
-                              (spec.feed == FeedMode::Port ? "+port" : "");
+  // The sequential leg keeps production scheduling; spec.sched perturbs
+  // the caller's pool only. The port-fed sim runs in Port mode only (the
+  // batch-fed one is the reference).
+  runtime::PoolExecutor sequential(1);
+  for (const BackendLeg& leg : kBackendLegs) {
+    if (leg.backend == exec::Backend::Sim && spec.feed != FeedMode::Port)
+      continue;
+    CaseSpec leg_spec = spec;
+    if (leg.sequential) leg_spec.sched = Sched::Lifo;
+    const exec::RunReport report = run_backend(
+        g, leg_spec, leg.backend, leg.sequential ? &sequential : pool);
+    const std::string label =
+        std::string(leg.name()) + (spec.feed == FeedMode::Port ? "+port" : "");
     auto err = compare_reports(reference, report, label);
     if (!err.has_value()) err = check_dump(report, label);
     if (err.has_value())
@@ -538,13 +556,18 @@ struct DeliveredSet {
   }
 };
 
+// `workers` (Pooled only) is the caller's pool size; null pool = the
+// private 2-worker pool make_run_spec asks for.
 std::string crash_label(const CaseSpec& spec, exec::Backend backend,
-                        std::uint64_t crash_seed) {
-  return "\n  case: " + to_string(spec) + " crash=" +
-         std::to_string(crash_seed) + " backend=" + exec::to_string(backend) +
-         "\n  repro: SDAF_CRASH_REPRO='" + to_string(spec) +
-         " crash=" + std::to_string(crash_seed) +
-         " backend=" + exec::to_string(backend) +
+                        std::uint64_t crash_seed,
+                        const runtime::PoolExecutor* pool) {
+  std::string tokens = " crash=" + std::to_string(crash_seed) +
+                       " backend=" + exec::to_string(backend);
+  if (backend == exec::Backend::Pooled)
+    tokens += " workers=" +
+              std::to_string(pool != nullptr ? pool->worker_count() : 2);
+  return "\n  case: " + to_string(spec) + tokens +
+         "\n  repro: SDAF_CRASH_REPRO='" + to_string(spec) + tokens +
          "' ./test_crash_recovery --gtest_filter=CrashRecovery.ReproFromEnv";
 }
 
@@ -556,6 +579,7 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
                                                   runtime::PoolExecutor* pool) {
   SDAF_EXPECTS(spec.mode != DummyMode::None);
   const StreamGraph g = build_topology(spec);
+  const std::string where = crash_label(spec, backend, crash_seed, pool);
   // Same substitution as run_backend: a non-default sched regime gets its
   // own pool, shared by the pre-crash and post-restore phases (the pool
   // outlives instances, like a daemon surviving its streams).
@@ -595,8 +619,7 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
       while (auto item = stream.output(j).next()) want[j].push_back(*item);
     want_report = stream.finish();
     if (!want_report.completed)
-      return "crash reference did not complete" +
-             crash_label(spec, backend, crash_seed);
+      return "crash reference did not complete" + where;
   }
 
   Prng rng(crash_seed);
@@ -631,15 +654,14 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
       for (std::size_t j = 0; j < stream.output_count(); ++j)
         while (auto item = stream.output(j).poll())
           if (auto err = delivered[j].add(*item, "pre-crash"); err.has_value())
-            return *err + crash_label(spec, backend, crash_seed);
+            return *err + where;
     }
     if (terminal)
       for (std::size_t i = 0; i < stream.input_count(); ++i)
         stream.input(i).close();
     const auto snap = stream.snapshot(kBarrier);
     if (!snap.has_value())
-      return "snapshot did not complete at the barrier" +
-             crash_label(spec, backend, crash_seed);
+      return "snapshot did not complete at the barrier" + where;
     snapshot_bytes = ckpt::serialize(*snap);
     (void)stream.finish();
   }
@@ -648,13 +670,11 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
   // replay every port from its cut.
   const auto snap = ckpt::deserialize(snapshot_bytes);
   if (!snap.has_value())
-    return "snapshot bytes did not round-trip" +
-           crash_label(spec, backend, crash_seed);
+    return "snapshot bytes did not round-trip" + where;
   exec::Session session(g, build_kernels(g, spec));
   auto restored = session.restore(ss, *snap);
   if (!restored.has_value())
-    return "Session::restore refused its own snapshot" +
-           crash_label(spec, backend, crash_seed);
+    return "Session::restore refused its own snapshot" + where;
   for (std::size_t i = 0; i < restored->input_count(); ++i) {
     auto& port = restored->input(i);
     if (port.closed()) continue;
@@ -668,13 +688,13 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
   for (std::size_t j = 0; j < restored->output_count(); ++j)
     while (auto item = restored->output(j).next())
       if (auto err = delivered[j].add(*item, "post-restore"); err.has_value())
-        return *err + crash_label(spec, backend, crash_seed);
+        return *err + where;
   const exec::RunReport report = restored->finish();
 
   // The verdict, counters and traffic resume exactly.
   if (auto err = compare_reports(want_report, report, "crash+restore");
       err.has_value())
-    return *err + crash_label(spec, backend, crash_seed);
+    return *err + where;
   // The delivered set (pre-crash + re-delivered residue + post-restore),
   // deduped by seq, is exactly the uninterrupted output stream.
   for (std::size_t j = 0; j < want.size(); ++j) {
@@ -682,7 +702,7 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
       std::ostringstream out;
       out << "tap " << j << ": delivered " << delivered[j].items.size()
           << " distinct items, reference delivered " << want[j].size();
-      return out.str() + crash_label(spec, backend, crash_seed);
+      return out.str() + where;
     }
     auto it = delivered[j].items.begin();
     for (const auto& ref : want[j]) {
@@ -693,7 +713,7 @@ std::optional<std::string> run_crash_differential(const CaseSpec& spec,
         out << "tap " << j << ": item mismatch at seq " << ref.seq
             << " (reference " << ref_v << ", got seq " << it->first << " = "
             << it->second << ")";
-        return out.str() + crash_label(spec, backend, crash_seed);
+        return out.str() + where;
       }
       ++it;
     }
@@ -786,8 +806,8 @@ SweepResult sweep_crash_cases(std::uint64_t sweep_seed, double seconds,
   Prng rng(sweep_seed);
   Stopwatch clock;
   const bool verbose = std::getenv("SDAF_STRESS_VERBOSE") != nullptr;
-  constexpr exec::Backend kBackends[] = {
-      exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled};
+  // The sequential leg keeps production scheduling, as in run_differential.
+  runtime::PoolExecutor sequential(1);
   while (result.cases_run < max_cases &&
          (result.cases_run == 0 || clock.elapsed_seconds() < seconds)) {
     CaseSpec spec = random_case(rng);
@@ -799,14 +819,15 @@ SweepResult sweep_crash_cases(std::uint64_t sweep_seed, double seconds,
       const std::uint32_t batches[] = {1, 7, 64};
       spec.batch = batches[rng.next_below(3)];
     }
-    const exec::Backend backend = kBackends[rng.next_below(3)];
+    const BackendLeg& leg = kBackendLegs[rng.next_below(3)];
+    if (leg.sequential) spec.sched = Sched::Lifo;
     const std::uint64_t crash_seed = rng.next_u64();
     if (verbose)
-      std::fprintf(stderr, "crash case: %s crash=%llu backend=%s\n",
+      std::fprintf(stderr, "crash case: %s crash=%llu leg=%s\n",
                    to_string(spec).c_str(),
-                   static_cast<unsigned long long>(crash_seed),
-                   exec::to_string(backend));
-    result.failure = run_crash_differential(spec, backend, crash_seed, pool);
+                   static_cast<unsigned long long>(crash_seed), leg.name());
+    result.failure = run_crash_differential(
+        spec, leg.backend, crash_seed, leg.sequential ? &sequential : pool);
     ++result.cases_run;
     if (result.failure.has_value()) break;
   }

@@ -1,9 +1,10 @@
 // Reusable randomized stress / differential harness for the execution
 // backends. One seeded CaseSpec fully determines a workload -- topology,
 // kernels, dummy mode, firing quantum -- and the harness runs it through
-// the deterministic simulator (the reference), the thread-per-node
-// executor, and the pooled scheduler, requiring bit-identical verdicts,
-// per-edge traffic, firing counts and sink deliveries.
+// the deterministic simulator (the reference) and the pooled scheduler,
+// both on the sequential baseline (a private 1-worker pool) and on a
+// concurrent pool, requiring bit-identical verdicts, per-edge traffic,
+// firing counts and sink deliveries.
 //
 // On mismatch the harness reports a one-line repro command
 // (SDAF_HARNESS_REPRO='<spec>' ./test_harness_stress ...), so a failure
@@ -66,6 +67,26 @@ enum class Sched : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Sched s);
 
+// One leg of a backend differential. The sequential baseline is the pooled
+// backend on a private 1-worker pool; the other legs run as the RunSpec
+// says (its shared pool, or a private pool of pool_workers). Callers of
+// the pool-pointer APIs below pass a 1-worker pool for the sequential leg.
+struct BackendLeg {
+  exec::Backend backend;
+  bool sequential = false;
+
+  [[nodiscard]] const char* name() const;  // "sim", "pooled-1w", "pooled"
+  // Sets spec.backend; the sequential baseline also clears spec.pool and
+  // asks for one private worker.
+  void apply(exec::RunSpec& spec) const;
+};
+
+// Sim, the sequential baseline, and Pooled as the RunSpec configures it.
+inline constexpr BackendLeg kBackendLegs[] = {
+    {exec::Backend::Sim, false},
+    {exec::Backend::Pooled, true},
+    {exec::Backend::Pooled, false}};
+
 // Everything that determines one workload, bit for bit. `seed` shapes the
 // graph (buffer sizes, structure) and decorrelates the kernel filters;
 // `mode` None disables avoidance (batch is then pinned to 1 by
@@ -112,9 +133,9 @@ struct CaseSpec {
                                           exec::Backend backend,
                                           runtime::PoolExecutor* pool);
 
-// The differential check: batch-fed simulator reference, then every
-// backend (all three in Port mode -- the port-fed sim included -- else
-// threaded and pooled) must match verdict, per-edge {data, dummies}, fires
+// The differential check: batch-fed simulator reference, then every leg
+// (Pooled on a private 1-worker pool, Pooled on `pool`, and in Port mode
+// also the port-fed sim) must match verdict, per-edge {data, dummies}, fires
 // and sink_data -- and every backend must emit a state_dump exactly when
 // deadlocked. Returns nullopt on agreement, else a mismatch description
 // ending in the repro command. `reference_deadlocked` (optional) reports
@@ -184,10 +205,11 @@ struct SweepResult {
 
 // Randomized kill/restore sweep: random avoidance-armed cases (mode None is
 // re-drawn to Propagation), each crashed at a random barrier on a random
-// backend and differentially restored via run_crash_differential. Stops at
-// the first mismatch; the failure string carries the case line plus the
-// crash=<seed> backend=<name> tokens the SDAF_CRASH_REPRO env replays
-// (tests/test_crash_recovery.cpp).
+// leg -- Sim, Pooled on a private 1-worker pool, or Pooled on `pool` -- and
+// differentially restored via run_crash_differential. Stops at the first
+// mismatch; the failure string carries the case line plus the
+// crash=<seed> backend=<name> [workers=<n>] tokens the SDAF_CRASH_REPRO
+// env replays (tests/test_crash_recovery.cpp).
 [[nodiscard]] SweepResult sweep_crash_cases(std::uint64_t sweep_seed,
                                             double seconds, int max_cases,
                                             runtime::PoolExecutor* pool);

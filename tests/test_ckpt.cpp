@@ -22,6 +22,7 @@
 #include "src/runtime/pool_executor.h"
 #include "src/workloads/filters.h"
 #include "src/workloads/topologies.h"
+#include "tests/harness/stress_harness.h"
 
 namespace sdaf::exec {
 namespace {
@@ -30,8 +31,8 @@ using runtime::DummyMode;
 using runtime::Kernel;
 using runtime::Value;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+using harness::BackendLeg;
+using harness::kBackendLegs;
 
 constexpr std::chrono::milliseconds kSnapTimeout{5000};
 
@@ -108,13 +109,13 @@ void expect_same_report(const RunReport& expected, const RunReport& actual,
 // at the barrier.
 TEST(Ckpt, SnapshotMidStreamCompletesOnEveryBackend) {
   const StreamGraph g = workloads::pipeline(3, 4);
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     EXPECT_EQ(stream.epoch(), 0u) << label;
     for (std::int64_t i = 0; i < 50; ++i)
@@ -276,12 +277,12 @@ TEST(Ckpt, RestoreResumesBitIdenticallyOnEveryBackend) {
     ASSERT_TRUE(want_report.completed);
     ASSERT_EQ(want.size(), static_cast<std::size_t>(kItems));
   }
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     // Phase 1: run to the cut, snapshot, then "crash" (discard the stream
     // and the session -- nothing delivered from it is kept).
     ckpt::StreamSnapshot snap;
@@ -324,7 +325,7 @@ TEST(Ckpt, RestoreResumesBitIdenticallyOnEveryBackend) {
   }
 }
 
-// Snapshots are backend-portable: cut on Threaded, resume on Sim.
+// Snapshots are backend-portable: cut on Pooled, resume on Sim.
 TEST(Ckpt, RestoreCrossesBackends) {
   const StreamGraph g = workloads::pipeline(3, 4);
   StreamSpec ss;
@@ -332,7 +333,7 @@ TEST(Ckpt, RestoreCrossesBackends) {
   ckpt::StreamSnapshot snap;
   {
     Session session(g, cumsum_kernels());
-    ss.run.backend = Backend::Threaded;
+    ss.run.backend = Backend::Pooled;
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 30; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));
@@ -403,13 +404,13 @@ TEST(Ckpt, RestoreRejectsMismatchedSnapshots) {
 // S: the marker is injected exactly between S-1 and S.
 TEST(Ckpt, LaggingPortArmsAndInjectsAtBarrier) {
   const StreamGraph g = two_source_join();
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 10; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));
@@ -446,12 +447,12 @@ TEST(Ckpt, LaggingPortArmsAndInjectsAtBarrier) {
 // the residue.
 TEST(Ckpt, SnapshotAfterCloseIsTerminalCut) {
   const StreamGraph g = workloads::pipeline(3, 4);
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     ckpt::StreamSnapshot snap;
     {
       Session session(g, workloads::passthrough_kernels(g));
@@ -490,13 +491,13 @@ TEST(Ckpt, SnapshotAfterCloseIsTerminalCut) {
 // cut, and each successive snapshot stands alone.
 TEST(Ckpt, BackToBackSnapshotsSerialize) {
   const StreamGraph g = workloads::pipeline(3, 4);
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 10; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));
@@ -529,13 +530,13 @@ TEST(Ckpt, SnapshotRacingDeadlockVerdictStaysPendingAndCertifies) {
   Session batch_session(g, wedge_kernels());
   const RunReport reference = batch_session.run(batch_rs);
   ASSERT_TRUE(reference.deadlocked);
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, wedge_kernels());
     StreamSpec ss;
     ss.run = batch_rs;
-    ss.run.backend = backend;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     ss.feed_capacity = 128;
     Stream stream = session.open(ss);
     for (int i = 0; i < 100; ++i) ASSERT_TRUE(stream.input(0).push());
@@ -553,13 +554,13 @@ TEST(Ckpt, SnapshotRacingDeadlockVerdictStaysPendingAndCertifies) {
 // fully usable afterwards.
 TEST(Ckpt, WedgedStreamSnapshotTimesOut) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, wedge_kernels());
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     ss.feed_capacity = 128;
     Stream stream = session.open(ss);
     for (int i = 0; i < 100; ++i) ASSERT_TRUE(stream.input(0).push());
@@ -578,13 +579,13 @@ TEST(Ckpt, WedgedStreamSnapshotTimesOut) {
 // completes.
 TEST(Ckpt, PortClosedShortOfBarrierCutsAtFinalCount) {
   const StreamGraph g = two_source_join();
-  for (const Backend backend : kBackends) {
-    const std::string label = to_string(backend);
+  for (const BackendLeg& leg : kBackendLegs) {
+    const std::string label = leg.name();
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 8; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));
@@ -617,18 +618,18 @@ TEST(Ckpt, PortClosedShortOfBarrierCutsAtFinalCount) {
 // verdict intact.
 TEST(Ckpt, FinishWithPendingBarrierAbandonsIt) {
   const StreamGraph g = workloads::pipeline(3, 4);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     for (std::int64_t i = 0; i < 30; ++i)
       ASSERT_TRUE(stream.input(0).push(Value(i)));
-    ASSERT_TRUE(stream.snapshot_begin()) << to_string(backend);
+    ASSERT_TRUE(stream.snapshot_begin()) << leg.name();
     const RunReport report = stream.finish();
-    EXPECT_TRUE(report.completed) << to_string(backend);
+    EXPECT_TRUE(report.completed) << leg.name();
   }
 }
 

@@ -5,13 +5,14 @@
 // dedup by seq) and the final report bit-identical to an uninterrupted run.
 //
 //   - ReproFromEnv: replays exactly one kill/restore from SDAF_CRASH_REPRO
-//     ('<case line> crash=<seed> backend=<sim|threaded|pooled>', the tokens
-//     the harness prints on mismatch).
+//     ('<case line> crash=<seed> backend=<sim|pooled> [workers=<n>]', the
+//     tokens the harness prints on mismatch; workers defaults to 2).
 //   - TimeBoxedCrashSweep: random cases for SDAF_STRESS_SECONDS (default
 //     ~2s; tools/ci.sh --crash raises it under ASan/TSan) steered by
 //     SDAF_STRESS_SEED.
 //   - EveryTopologyCrashesAndRecovers: each topology generator through one
-//     deterministic kill/restore per backend.
+//     deterministic kill/restore per kBackendLegs leg (Sim, Pooled on a
+//     1-worker pool, Pooled on a 2-worker pool).
 #include "tests/harness/stress_harness.h"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,7 @@ namespace {
 
 TEST(CrashRecovery, EveryTopologyCrashesAndRecovers) {
   runtime::PoolExecutor pool(2);
-  constexpr exec::Backend kBackends[] = {
-      exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled};
+  runtime::PoolExecutor sequential(1);
   for (const Topology topo : {Topology::Sp, Topology::Ladder,
                               Topology::Triangle, Topology::Continuation}) {
     CaseSpec spec;
@@ -38,9 +38,10 @@ TEST(CrashRecovery, EveryTopologyCrashesAndRecovers) {
     spec.pass_rate = 0.5;
     spec.mode = runtime::DummyMode::Propagation;
     spec.feed = FeedMode::Port;
-    for (const exec::Backend backend : kBackends) {
+    for (const BackendLeg& leg : kBackendLegs) {
       const auto failure = run_crash_differential(
-          spec, backend, /*crash_seed=*/0xDEAD ^ spec.seed, &pool);
+          spec, leg.backend, /*crash_seed=*/0xDEAD ^ spec.seed,
+          leg.sequential ? &sequential : &pool);
       EXPECT_FALSE(failure.has_value()) << *failure;
     }
   }
@@ -49,6 +50,7 @@ TEST(CrashRecovery, EveryTopologyCrashesAndRecovers) {
 // Both dummy modes and a coalesced batch quantum survive the kill/restore.
 TEST(CrashRecovery, NonPropagationAndBatchedQuanta) {
   runtime::PoolExecutor pool(2);
+  runtime::PoolExecutor sequential(1);
   CaseSpec spec;
   spec.topology = Topology::Sp;
   spec.seed = 0xBEE5;
@@ -57,10 +59,10 @@ TEST(CrashRecovery, NonPropagationAndBatchedQuanta) {
   spec.mode = runtime::DummyMode::NonPropagation;
   spec.batch = 7;
   spec.feed = FeedMode::Port;
-  for (const exec::Backend backend :
-       {exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled}) {
+  for (const BackendLeg& leg : kBackendLegs) {
     const auto failure =
-        run_crash_differential(spec, backend, /*crash_seed=*/0x7EA, &pool);
+        run_crash_differential(spec, leg.backend, /*crash_seed=*/0x7EA,
+                               leg.sequential ? &sequential : &pool);
     EXPECT_FALSE(failure.has_value()) << *failure;
   }
 }
@@ -70,8 +72,10 @@ TEST(CrashRecovery, ReproFromEnv) {
   if (line == nullptr) {
     GTEST_SKIP() << "SDAF_CRASH_REPRO not set";
   }
-  // The line is a harness case line plus crash=<seed> backend=<name>.
+  // The line is a harness case line plus crash=<seed> backend=<name> and,
+  // for Pooled, workers=<n>.
   std::string case_line;
+  std::size_t workers = 2;
   std::uint64_t crash_seed = 0;
   bool saw_crash = false;
   exec::Backend backend = exec::Backend::Sim;
@@ -87,12 +91,12 @@ TEST(CrashRecovery, ReproFromEnv) {
       saw_backend = true;
       if (name == "sim")
         backend = exec::Backend::Sim;
-      else if (name == "threaded")
-        backend = exec::Backend::Threaded;
       else if (name == "pooled")
         backend = exec::Backend::Pooled;
       else
         saw_backend = false;
+    } else if (token.rfind("workers=", 0) == 0) {
+      workers = std::strtoull(token.c_str() + 8, nullptr, 0);
     } else {
       if (!case_line.empty()) case_line += ' ';
       case_line += token;
@@ -102,7 +106,8 @@ TEST(CrashRecovery, ReproFromEnv) {
       << "SDAF_CRASH_REPRO needs crash= and backend= tokens: " << line;
   const auto spec = parse_case(case_line);
   ASSERT_TRUE(spec.has_value()) << "unparseable case: " << case_line;
-  runtime::PoolExecutor pool(2);
+  ASSERT_TRUE(workers >= 1 && workers <= 64) << "workers=" << workers;
+  runtime::PoolExecutor pool(workers);
   const auto failure = run_crash_differential(*spec, backend, crash_seed, &pool);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }

@@ -1,5 +1,6 @@
 // Deadlock-verdict property test: for randomized topologies with avoidance
-// disabled (DummyMode::None), all three backends must agree on the
+// disabled (DummyMode::None), the simulator and the pooled backend -- on
+// a private 1-worker pool and on a concurrent pool -- must agree on the
 // deadlock-vs-complete verdict, the wedged state must be unique (traffic,
 // fires and sink deliveries bit-identical -- bounded deterministic dataflow
 // has a single terminal marking), and the state_dump must be emitted at
@@ -73,8 +74,9 @@ TEST(DeadlockVerdicts, ProtectedRunsNeverDeadlock) {
 }
 
 TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
-  // All three backends produce their wedge dumps through
-  // exec::dump_wedged_state, so the shape must be identical: first one
+  // Both backends produce their wedge dumps through
+  // exec::dump_wedged_state, so the shape must be identical on every leg
+  // (Sim, Pooled on a 1-worker pool, Pooled on a 2-worker pool): first one
   // `edge <id> <from>-><to> <occ>/<cap> pushed=<data>+<dummies>d ...` line
   // per edge in id order, then one `node <name> <state> park=<why>` line
   // per node in id order (each optionally followed by indented trace
@@ -85,6 +87,7 @@ TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
   const std::regex node_re(R"(^node (\S+) .* park=.+$)");
 
   runtime::PoolExecutor pool(2);
+  runtime::PoolExecutor sequential(1);
   CaseSpec spec;
   spec.topology = Topology::Triangle;
   spec.num_inputs = 40;
@@ -98,11 +101,11 @@ TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
     const auto reference = run_backend(g, spec, exec::Backend::Sim, &pool);
     if (!reference.deadlocked) continue;
     found_wedge = true;
-    for (const exec::Backend backend :
-         {exec::Backend::Sim, exec::Backend::Threaded, exec::Backend::Pooled}) {
-      const auto report = run_backend(g, spec, backend, &pool);
-      ASSERT_TRUE(report.deadlocked) << to_string(backend);
-      ASSERT_FALSE(report.state_dump.empty()) << to_string(backend);
+    for (const BackendLeg& leg : kBackendLegs) {
+      const auto report = run_backend(g, spec, leg.backend,
+                                      leg.sequential ? &sequential : &pool);
+      ASSERT_TRUE(report.deadlocked) << leg.name();
+      ASSERT_FALSE(report.state_dump.empty()) << leg.name();
       std::istringstream lines(report.state_dump);
       std::string line;
       std::size_t edges_seen = 0;
@@ -110,28 +113,28 @@ TEST(DeadlockVerdicts, StateDumpShapeIsUnifiedAcrossBackends) {
       while (std::getline(lines, line)) {
         if (line.rfind("  trace ", 0) == 0) {
           // Trace tails only follow node lines.
-          EXPECT_GT(nodes_seen, 0u) << to_string(backend) << ": " << line;
+          EXPECT_GT(nodes_seen, 0u) << leg.name() << ": " << line;
           continue;
         }
         std::smatch m;
         if (line.rfind("edge ", 0) == 0) {
           EXPECT_EQ(nodes_seen, 0u)
-              << to_string(backend) << ": edge line after node lines";
+              << leg.name() << ": edge line after node lines";
           ASSERT_TRUE(std::regex_match(line, m, edge_re))
-              << to_string(backend) << ": " << line;
+              << leg.name() << ": " << line;
           EXPECT_EQ(m[1].str(), std::to_string(edges_seen))
-              << to_string(backend) << ": edges out of order";
+              << leg.name() << ": edges out of order";
           ++edges_seen;
         } else {
           ASSERT_TRUE(std::regex_match(line, m, node_re))
-              << to_string(backend) << ": " << line;
+              << leg.name() << ": " << line;
           EXPECT_EQ(m[1].str(), g.node_name(nodes_seen))
-              << to_string(backend) << ": nodes out of order";
+              << leg.name() << ": nodes out of order";
           ++nodes_seen;
         }
       }
-      EXPECT_EQ(edges_seen, g.edge_count()) << to_string(backend);
-      EXPECT_EQ(nodes_seen, g.node_count()) << to_string(backend);
+      EXPECT_EQ(edges_seen, g.edge_count()) << leg.name();
+      EXPECT_EQ(nodes_seen, g.node_count()) << leg.name();
     }
   }
   ASSERT_TRUE(found_wedge) << "no seed in [1,16] wedged the triangle";

@@ -1,8 +1,10 @@
-#include "src/runtime/executor.h"
-
+// The classic batch-run cases, through exec::Session on the pooled backend
+// (a private pool per run): completion, deadlock verdicts, dummy traffic
+// and payload flow.
 #include <gtest/gtest.h>
 
 #include "src/core/compile.h"
+#include "src/exec/session.h"
 #include "src/workloads/filters.h"
 #include "src/workloads/topologies.h"
 
@@ -20,10 +22,24 @@ std::vector<std::shared_ptr<Kernel>> triangle_kernels(std::uint64_t prefix) {
   return kernels;
 }
 
+// A Session over `g` that runs every spec on the pooled backend.
+class PooledRunner {
+ public:
+  PooledRunner(const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> k)
+      : session_(g, std::move(k)) {}
+  [[nodiscard]] exec::RunReport run(exec::RunSpec spec) {
+    spec.backend = exec::Backend::Pooled;
+    return session_.run(spec);
+  }
+
+ private:
+  exec::Session session_;
+};
+
 TEST(Executor, PipelineDeliversEverything) {
   const StreamGraph g = workloads::pipeline(4, 2);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
+  PooledRunner ex(g, workloads::passthrough_kernels(g));
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
   const auto r = ex.run(opt);
@@ -38,8 +54,8 @@ TEST(Executor, PipelineDeliversEverything) {
 
 TEST(Executor, SplitJoinAligned) {
   const StreamGraph g = workloads::fig1_splitjoin(4);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
+  PooledRunner ex(g, workloads::passthrough_kernels(g));
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 50;
   const auto r = ex.run(opt);
@@ -51,8 +67,8 @@ TEST(Executor, SplitJoinAligned) {
 
 TEST(Executor, Fig2DeadlocksWithoutDummies) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
+  PooledRunner ex(g, triangle_kernels(/*prefix=*/100));
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
   const auto r = ex.run(opt);
@@ -64,8 +80,8 @@ TEST(Executor, Fig2SafeWithPropagationIntervals) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   const auto compiled = core::compile(g);
   ASSERT_TRUE(compiled.ok);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
+  PooledRunner ex(g, triangle_kernels(/*prefix=*/100));
+  exec::RunSpec opt;
   opt.mode = DummyMode::Propagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
   opt.forward_on_filter = compiled.forward_on_filter();
@@ -82,8 +98,8 @@ TEST(Executor, Fig2SafeWithNonPropagationIntervals) {
   copt.algorithm = core::Algorithm::NonPropagation;
   const auto compiled = core::compile(g, copt);
   ASSERT_TRUE(compiled.ok);
-  Executor ex(g, triangle_kernels(/*prefix=*/100));
-  ExecutorOptions opt;
+  PooledRunner ex(g, triangle_kernels(/*prefix=*/100));
+  exec::RunSpec opt;
   opt.mode = DummyMode::NonPropagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
   opt.num_inputs = 100;
@@ -98,8 +114,8 @@ TEST(Executor, FilteringWithoutCyclesNeedsNoDummies) {
   for (NodeId n = 0; n < g.node_count(); ++n)
     kernels.push_back(std::make_shared<RelayKernel>(
         workloads::bernoulli_filter(0.5, 1234 + n)));
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PooledRunner ex(g, kernels);
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 200;
   const auto r = ex.run(opt);
@@ -130,8 +146,8 @@ TEST(Executor, DummiesArePropagatedDownstream) {
   kernels.push_back(pass_through_kernel());
   kernels.push_back(pass_through_kernel());
   kernels.push_back(pass_through_kernel());
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PooledRunner ex(g, kernels);
+  exec::RunSpec opt;
   opt.mode = DummyMode::Propagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
   opt.forward_on_filter = compiled.forward_on_filter();
@@ -177,8 +193,8 @@ TEST(Executor, InteriorFilteringCounterexample) {
 
   // Without the continuation rule: deadlock.
   {
-    Executor ex(g, make_kernels());
-    ExecutorOptions opt;
+    PooledRunner ex(g, make_kernels());
+    exec::RunSpec opt;
     opt.mode = DummyMode::Propagation;
     opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
     opt.num_inputs = 100;  // forward_on_filter deliberately left empty
@@ -186,8 +202,8 @@ TEST(Executor, InteriorFilteringCounterexample) {
   }
   // With it: completes.
   {
-    Executor ex(g, make_kernels());
-    ExecutorOptions opt;
+    PooledRunner ex(g, make_kernels());
+    exec::RunSpec opt;
     opt.mode = DummyMode::Propagation;
     opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
     opt.forward_on_filter = compiled.forward_on_filter();
@@ -214,8 +230,8 @@ TEST(Executor, ValuesFlowThroughPayloads) {
       [&sum](std::uint64_t, const auto& inputs, Emitter&) {
         sum += inputs[0]->template as<std::int64_t>();
       }));
-  Executor ex(g, kernels);
-  ExecutorOptions opt;
+  PooledRunner ex(g, kernels);
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 10;
   const auto r = ex.run(opt);
@@ -225,8 +241,8 @@ TEST(Executor, ValuesFlowThroughPayloads) {
 
 TEST(Executor, RepeatedRunsAreIndependent) {
   const StreamGraph g = workloads::fig1_splitjoin(2);
-  Executor ex(g, workloads::passthrough_kernels(g));
-  ExecutorOptions opt;
+  PooledRunner ex(g, workloads::passthrough_kernels(g));
+  exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 20;
   const auto r1 = ex.run(opt);

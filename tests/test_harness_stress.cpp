@@ -98,7 +98,8 @@ TEST(HarnessStress, TimeBoxedRandomSweep) {
 }
 
 // Every case port-fed: randomized push chunking/pacing through the live
-// Stream API on all three backends, each required bit-identical to the
+// Stream API on every leg (Sim, Pooled on a 1-worker pool, Pooled on the
+// shared pool), each required bit-identical to the
 // batch-fed simulator reference (tools/ci.sh --stress runs this under
 // ASan and TSan).
 TEST(HarnessStress, PortModeSweep) {

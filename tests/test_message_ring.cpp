@@ -1,4 +1,5 @@
-// Unit tests for the coalescing ring (shared by every backend's channels)
+// Unit tests for the coalescing ring (the simulator's channels and the
+// SpscRing reference model)
 // and for Value's inline small-object storage.
 #include "src/runtime/message_ring.h"
 

@@ -4,8 +4,8 @@
 // incremented at shared FiringCore sites (emission where outputs are
 // queued, consumption where heads are popped), so for a deterministic
 // workload the simulator's counts are a bit-exact reference for the
-// threaded and pooled backends -- per node and per channel, completed or
-// wedged. Scheduling-shaped counters (full_stalls, empty_waits, worker
+// pooled backend, on a 1-worker pool and on a concurrent one -- per node
+// and per channel, completed or wedged. Scheduling-shaped counters (full_stalls, empty_waits, worker
 // stats) are intentionally NOT asserted equal; they measure contention,
 // which is backend-specific by nature.
 //
@@ -89,12 +89,13 @@ TEST(MetricsRegistry, BumpSnapshotReset) {
 }
 
 TEST(MetricsDifferential, CountersBitIdenticalAcrossBackends) {
-  // The sim is the reference; threaded and pooled must agree per node on
+  // The sim is the reference; pooled on 1 and 3 workers must agree per node on
   // fires / data_out / dummy_out / eos_out / data_in / dummy_in and per
   // channel on data_pushed / dummies_pushed / pops -- exact at quiescence,
   // completed AND wedged. The sweep covers all topologies, both avoidance
   // modes plus avoidance-off, and batched firing.
   runtime::PoolExecutor pool(3);
+  runtime::PoolExecutor sequential(1);
   std::vector<harness::CaseSpec> cases;
   {
     harness::CaseSpec c;
@@ -137,9 +138,10 @@ TEST(MetricsDifferential, CountersBitIdenticalAcrossBackends) {
                 ref.report.edges[e].dummies)
           << e;
     }
-    for (const Backend backend : {Backend::Threaded, Backend::Pooled}) {
-      SCOPED_TRACE(to_string(backend));
-      const MeteredRun got = run_metered(g, cs, backend, &pool);
+    for (runtime::PoolExecutor* leg_pool : {&sequential, &pool}) {
+      SCOPED_TRACE("pooled workers=" +
+                   std::to_string(leg_pool->worker_count()));
+      const MeteredRun got = run_metered(g, cs, Backend::Pooled, leg_pool);
       ASSERT_EQ(got.report.deadlocked, ref.report.deadlocked);
       for (NodeId n = 0; n < g.node_count(); ++n) {
         const auto& want = ref.registry.node(n);
@@ -210,7 +212,7 @@ TEST(MetricsExport, JsonSchemaStable) {
   obs::bump(reg.channel(0).data_pushed, 7);
 
   obs::SnapshotOptions opts;
-  opts.backend = "threaded";
+  opts.backend = "pooled";
   opts.tenant = "we\"ird\\tenant";
   opts.bytes_per_slot = 16;
   auto s = obs::snapshot(g, reg, opts);
@@ -225,7 +227,7 @@ TEST(MetricsExport, JsonSchemaStable) {
   const std::string j = obs::to_json(s);
   // Envelope and key set -- the schema tag is the compatibility contract.
   EXPECT_NE(j.find("\"schema\":\"sdaf.metrics.v1\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"backend\":\"threaded\""), std::string::npos);
+  EXPECT_NE(j.find("\"backend\":\"pooled\""), std::string::npos);
   EXPECT_NE(j.find("\"tenant\":{\"name\":\"we\\\"ird\\\\tenant\""),
             std::string::npos)
       << j;
@@ -286,14 +288,14 @@ TEST(MetricsExport, PrometheusExpositionStable) {
 }
 
 TEST(StreamMetrics, LiveSnapshotAcrossBackends) {
-  for (const Backend backend :
-       {Backend::Sim, Backend::Threaded, Backend::Pooled}) {
-    SCOPED_TRACE(to_string(backend));
+  for (const harness::BackendLeg& leg : harness::kBackendLegs) {
+    SCOPED_TRACE(leg.name());
+    const Backend backend = leg.backend;
     const StreamGraph g = workloads::pipeline(3, 2);
     exec::Session session(g, workloads::passthrough_kernels(g));
     exec::StreamSpec sspec;
-    sspec.run.backend = backend;
     sspec.run.mode = runtime::DummyMode::None;
+    leg.apply(sspec.run);
     exec::Stream stream = session.open(sspec);
 
     for (int i = 0; i < 10; ++i) ASSERT_TRUE(stream.input(0).push());

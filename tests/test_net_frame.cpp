@@ -126,11 +126,12 @@ TEST(NetFrame, OpenRejectsOutOfRangeFields) {
     encode(f, w);
     return w.take();
   };
-  {
+  // 1 is reserved (no backend has that value); 3 is past the range.
+  for (const std::uint8_t backend : {1, 3}) {
     OpenFrame f = good;
-    f.backend = 3;
+    f.backend = backend;
     const auto b = encode_with(f);
-    EXPECT_FALSE(decode_open(b.data(), b.size()).has_value());
+    EXPECT_FALSE(decode_open(b.data(), b.size()).has_value()) << int{backend};
   }
   {
     OpenFrame f = good;
@@ -251,6 +252,20 @@ TEST(NetFrame, VerdictRoundTripIncludingDeadlockDump) {
   EXPECT_EQ(r.sink_data, f.report.sink_data);
   EXPECT_EQ(r.state_dump, f.report.state_dump);
   expect_exact_consumption(bytes, decode_verdict, "Verdict");
+}
+
+// The backend byte of a Verdict takes the same two values as Open's: a
+// report claiming the reserved 1 (or anything past Pooled) is malformed.
+TEST(NetFrame, VerdictRejectsReservedAndUnknownBackendBytes) {
+  for (const std::uint8_t backend : {1, 3}) {
+    VerdictFrame f;
+    f.report.backend = static_cast<exec::Backend>(backend);
+    Writer w;
+    encode(f, w);
+    const auto bytes = payload_of(w);
+    EXPECT_FALSE(decode_verdict(bytes.data(), bytes.size()).has_value())
+        << int{backend};
+  }
 }
 
 TEST(NetFrame, SimpleFramesRoundTrip) {
@@ -377,7 +392,7 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
   }
   {
     RestoreFrame f;
-    f.open.backend = 1;
+    f.open.backend = 2;
     f.open.mode = 2;
     f.open.kernel = KernelKind::Relay;
     f.open.pass_rate = 0.5;
@@ -388,7 +403,7 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
     const auto b = payload_of(w);
     const auto back = decode_restore(b.data(), b.size());
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->open.backend, 1);
+    EXPECT_EQ(back->open.backend, 2);
     EXPECT_EQ(back->open.mode, 2);
     EXPECT_EQ(back->open.kernel, KernelKind::Relay);
     EXPECT_EQ(back->open.topology, f.open.topology);
@@ -404,15 +419,17 @@ TEST(NetFrame, SnapshotFramesRoundTrip) {
     const auto b = payload_of(w);
     EXPECT_FALSE(decode_restore(b.data(), b.size()).has_value());
   }
-  {
-    // Out-of-range Open fields are policed inside Restore too.
+  // Out-of-range Open fields are policed inside Restore too, the
+  // reserved backend byte 1 included.
+  for (const std::uint8_t backend : {1, 3}) {
     RestoreFrame f;
-    f.open.backend = 3;
+    f.open.backend = backend;
     f.snapshot = "x";
     Writer w;
     encode(f, w);
     const auto b = payload_of(w);
-    EXPECT_FALSE(decode_restore(b.data(), b.size()).has_value());
+    EXPECT_FALSE(decode_restore(b.data(), b.size()).has_value())
+        << int{backend};
   }
   {
     RestoreOkFrame f;

@@ -160,7 +160,7 @@ void expect_same_report(const exec::RunReport& expected,
   }
 }
 
-// The tentpole differential: every backend, both avoidance modes, a
+// The tentpole differential: both backends, both avoidance modes, a
 // filtering relay workload -- the wire run must reproduce the in-process
 // run bit for bit, payloads and verdict alike.
 TEST_F(LoopbackTest, WireRunBitIdenticalToInProcess) {
@@ -170,7 +170,7 @@ TEST_F(LoopbackTest, WireRunBitIdenticalToInProcess) {
 
   Client client = connect();
   std::uint16_t next_id = 1;
-  for (const std::uint8_t backend : {0, 1, 2}) {
+  for (const std::uint8_t backend : {0, 2}) {
     for (const std::uint8_t mode : {1, 2}) {
       OpenFrame spec;
       spec.backend = backend;
@@ -417,6 +417,33 @@ TEST_F(LoopbackTest, MultipleStreamsMultiplexOneConnection) {
   // Reusing a live id is a protocol error.
   ClientStream s3 = client.open(3, spec);
   EXPECT_THROW((void)client.open(3, spec), ProtocolError);
+}
+
+// Backend byte 1 is reserved: the server answers BadFrame without creating
+// a stream. Like every malformed frame, it costs the sender its
+// connection; the server itself is unaffected, and the same id opens a
+// Pooled stream on the server's shared pool over a fresh connection.
+TEST_F(LoopbackTest, ReservedBackendByteIsBadFrame) {
+  Client client = connect();
+  OpenFrame spec;
+  spec.backend = 1;
+  spec.topology = "node a\nnode b\nedge a b 4\n";
+  bool bad_frame = false;
+  try {
+    (void)client.open(1, spec);
+  } catch (const ProtocolError& e) {
+    bad_frame = e.code() == ErrorCode::BadFrame;
+  }
+  EXPECT_TRUE(bad_frame) << "backend byte 1 was not refused as BadFrame";
+  EXPECT_EQ(server_->stats().streams_total, 0u);
+
+  Client fresh = connect();
+  spec.backend = static_cast<std::uint8_t>(exec::Backend::Pooled);
+  ClientStream s = fresh.open(1, spec);
+  EXPECT_EQ(s.push(0, {Value(std::int64_t{3})}), 1u);
+  s.close(0);
+  EXPECT_TRUE(s.finish().completed);
+  EXPECT_EQ(server_->stats().streams_total, 1u);
 }
 
 // Opening the same topology twice hits the shared compile cache, and the

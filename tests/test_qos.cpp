@@ -231,7 +231,9 @@ TEST(QosSession, LeaseReleasesTheReservationWhenTheStreamDies) {
 
 // A credited stream's pushes stop at the window and resume as the source
 // drains its feed; the completed run is bit-identical to an uncredited one.
-void credit_backpressure_roundtrip(exec::Backend backend) {
+// `workers` sizes the private pool of a Pooled run.
+void credit_backpressure_roundtrip(exec::Backend backend,
+                                   std::size_t workers = 2) {
   const StreamGraph g = pipeline3();
   const std::uint64_t kItems = 200;
 
@@ -239,7 +241,7 @@ void credit_backpressure_roundtrip(exec::Backend backend) {
     exec::Session session(g, workloads::passthrough_kernels(g));
     exec::StreamSpec spec;
     spec.run.backend = backend;
-    spec.run.pool_workers = 2;
+    spec.run.pool_workers = workers;
     spec.run.credits = credits;
     exec::Stream stream = session.open(std::move(spec));
     std::thread drainer;
@@ -277,8 +279,8 @@ TEST(QosBackpressure, SimRoundTripUnderTightWindow) {
   credit_backpressure_roundtrip(exec::Backend::Sim);
 }
 
-TEST(QosBackpressure, ThreadedRoundTripUnderTightWindow) {
-  credit_backpressure_roundtrip(exec::Backend::Threaded);
+TEST(QosBackpressure, SingleWorkerPoolRoundTripUnderTightWindow) {
+  credit_backpressure_roundtrip(exec::Backend::Pooled, /*workers=*/1);
 }
 
 TEST(QosBackpressure, PooledRoundTripUnderTightWindow) {
@@ -294,7 +296,8 @@ TEST(QosBackpressure, ExhaustedWindowSurfacesAsBackpressure) {
   qos::CreditGauge credits(4);
   ASSERT_TRUE(credits.try_acquire(4));  // co-tenant holds the whole window
   exec::StreamSpec spec;
-  spec.run.backend = exec::Backend::Threaded;
+  spec.run.backend = exec::Backend::Pooled;
+  spec.run.pool_workers = 2;
   spec.run.credits = &credits;
   exec::Stream stream = session.open(std::move(spec));
   EXPECT_FALSE(stream.input(0).try_push());

@@ -18,8 +18,8 @@ namespace {
 using runtime::DummyMode;
 using runtime::Kernel;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+using harness::BackendLeg;
+using harness::kBackendLegs;
 
 // The facade-level differential harness: the same RunSpec through every
 // backend must produce identical verdicts, per-edge traffic, firing counts
@@ -50,7 +50,7 @@ std::vector<std::shared_ptr<Kernel>> wedge_kernels() {
 
 TEST(Session, RandomizedWorkloadsIdenticalAcrossBackendsAndModes) {
   // Ported onto the stress harness (tests/harness/stress_harness.h): the
-  // same randomized SP/ladder sweep through all three backends and both
+  // same randomized SP/ladder sweep through every backend leg and both
   // dummy modes at a random firing quantum, now with a one-line repro
   // command on any mismatch.
   Prng rng(0xC0FFEE);
@@ -107,14 +107,15 @@ TEST(Session, DummyRunCoalescingIdenticalAcrossBackendsAndBatches) {
       ASSERT_TRUE(reference.completed);
       EXPECT_GT(reference.total_dummies(), reference.total_data())
           << "workload not dummy-heavy; the coalescing path is not covered";
-      for (const Backend backend : kBackends) {
+      for (const BackendLeg& leg : kBackendLegs) {
         for (const std::uint32_t batch : {1u, 7u, 64u}) {
-          spec.backend = backend;
-          spec.batch = batch;
-          const std::string label = std::string(to_string(backend)) +
+          RunSpec leg_spec = spec;
+          leg.apply(leg_spec);
+          leg_spec.batch = batch;
+          const std::string label = std::string(leg.name()) +
                                     " batch=" + std::to_string(batch) +
                                     " p=" + std::to_string(pass_rate);
-          expect_same_report(reference, session.run(spec), label);
+          expect_same_report(reference, session.run(leg_spec), label);
         }
       }
     }
@@ -126,27 +127,27 @@ TEST(Session, Fig2WedgeSameVerdictAndStateDumpOnEveryBackend) {
   // wedge on every backend, and every backend must surface a usable
   // post-mortem through RunReport::state_dump.
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     // Batching adds at most `batch` held outputs per node -- far below the
     // 100-seq adversarial prefix that forces this wedge -- so the deadlock
     // must manifest and certify exactly at both quanta.
     for (const std::uint32_t batch : {1u, 64u}) {
       Session session(g, wedge_kernels());
       RunSpec spec;
-      spec.backend = backend;
       spec.mode = DummyMode::None;
       spec.num_inputs = 100;
       spec.pool_workers = 2;
       spec.batch = batch;
+      leg.apply(spec);
       const auto report = session.run(spec);
-      const std::string label = std::string(to_string(backend)) +
+      const std::string label = std::string(leg.name()) +
                                 " batch=" + std::to_string(batch);
       EXPECT_TRUE(report.deadlocked) << label;
       EXPECT_FALSE(report.completed) << label;
       ASSERT_FALSE(report.state_dump.empty()) << label;
       EXPECT_NE(report.state_dump.find("edge "), std::string::npos) << label;
       EXPECT_NE(report.state_dump.find("node "), std::string::npos) << label;
-      if (backend == Backend::Sim)
+      if (leg.backend == Backend::Sim)
         EXPECT_GT(report.sweeps, 0u);
       else
         EXPECT_EQ(report.sweeps, 0u);
@@ -156,23 +157,23 @@ TEST(Session, Fig2WedgeSameVerdictAndStateDumpOnEveryBackend) {
 
 TEST(Session, Fig2CompiledIntervalsCompleteOnEveryBackend) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     Session session(g, wedge_kernels());
     RunSpec spec;
-    spec.backend = backend;
     spec.num_inputs = 100;
     spec.pool_workers = 2;
+    leg.apply(spec);
     const auto [compiled, report] = session.compile_and_run(spec);
     ASSERT_TRUE(compiled->ok);
-    EXPECT_TRUE(report.completed) << to_string(backend);
-    EXPECT_TRUE(report.state_dump.empty()) << to_string(backend);
-    EXPECT_EQ(report.sink_data[2], 100u) << to_string(backend);
+    EXPECT_TRUE(report.completed) << leg.name();
+    EXPECT_TRUE(report.state_dump.empty()) << leg.name();
+    EXPECT_EQ(report.sink_data[2], 100u) << leg.name();
   }
 }
 
-// The tracer rides on the shared firing core, so all three backends must
+// The tracer rides on the shared firing core, so every backend leg must
 // record the same per-message events; only ordering and ticks may differ
-// between the deterministic sweep and the concurrent backends.
+// between the deterministic sweep and the pool.
 TEST(Session, TracerEventMultisetIdenticalAcrossBackends) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   const auto compiled = core::compile(g);
@@ -188,24 +189,24 @@ TEST(Session, TracerEventMultisetIdenticalAcrossBackends) {
   };
 
   std::vector<Key> reference;
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     runtime::Tracer tracer(1u << 20);
     Session session(g, workloads::relay_kernels(g, 0.5, 11));
     RunSpec spec;
-    spec.backend = backend;
     spec.apply(compiled);
     spec.num_inputs = 200;
     spec.pool_workers = 2;
     spec.tracer = &tracer;
+    leg.apply(spec);
     const auto report = session.run(spec);
-    ASSERT_TRUE(report.completed) << to_string(backend);
-    ASSERT_EQ(tracer.dropped(), 0u) << to_string(backend);
+    ASSERT_TRUE(report.completed) << leg.name();
+    ASSERT_EQ(tracer.dropped(), 0u) << leg.name();
     auto keys = event_multiset(tracer);
     EXPECT_FALSE(keys.empty());
-    if (backend == Backend::Sim)
+    if (leg.backend == Backend::Sim)
       reference = std::move(keys);
     else
-      EXPECT_EQ(reference, keys) << to_string(backend);
+      EXPECT_EQ(reference, keys) << leg.name();
   }
 }
 

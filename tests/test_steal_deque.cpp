@@ -183,14 +183,20 @@ void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
     std::size_t last_index = 0;
     bool have_last = false;
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint64_t r = round.load(std::memory_order_acquire);
-      if (r != seen_round) {  // new batch: push order restarts
-        seen_round = r;
-        have_last = false;
-      }
       void* out = nullptr;
       switch (deque.steal(&out)) {
         case StealDeque::StealResult::Ok: {
+          // Read the round only after the steal: the owner bumps it before
+          // pushing a round's items (so this acquire sees the stolen
+          // item's round or later), and cannot start the next round while
+          // this unclaimed item is outstanding (so it sees no later one).
+          // A read before the steal could pair an old round with a new
+          // round's item.
+          const std::uint64_t r = round.load(std::memory_order_acquire);
+          if (r != seen_round) {  // new batch: push order restarts
+            seen_round = r;
+            have_last = false;
+          }
           const std::size_t i = arena.index(out);
           // Within one round a thief's steals come off a monotonically
           // advancing top, so its observed push indices must increase.
@@ -211,49 +217,61 @@ void run_hammer(std::uint64_t seed, double seconds, std::size_t capacity) {
     }
   };
 
-  std::thread t1([&] { thief(seed ^ 0x1111); });
-  std::thread t2([&] { thief(seed ^ 0x2222); });
+  // Stops and joins the thieves on every exit path, so a failed ASSERT in
+  // the owner loop reports instead of terminating on a joinable thread.
+  struct JoinThieves {
+    std::atomic<bool>& stop;
+    std::thread a;
+    std::thread b;
+    ~JoinThieves() {
+      stop.store(true, std::memory_order_release);
+      a.join();
+      b.join();
+    }
+  };
 
-  // Owner (this thread): rounds of push-all / mixed pop+work until every
-  // item of the round is claimed by someone.
-  Prng rng(seed);
-  Stopwatch clock;
-  int rounds = 0;
-  while (clock.elapsed_seconds() < seconds || rounds == 0) {
-    for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
-    claimed_total.store(0, std::memory_order_release);
-    round.fetch_add(1, std::memory_order_acq_rel);
-    std::size_t pushed = 0;
-    while (pushed < kBatch) {
-      const std::size_t burst =
-          std::min<std::size_t>(1 + rng.next_below(16), kBatch - pushed);
-      for (std::size_t i = 0; i < burst; ++i)
-        deque.push_bottom(arena.item(pushed + i));
-      pushed += burst;
-      // Interleave owner pops so the last-item CAS race actually runs.
-      const std::size_t pops = rng.next_below(burst + 1);
-      for (std::size_t i = 0; i < pops; ++i) {
-        if (void* item = deque.pop_bottom()) claim(item);
+  {
+    JoinThieves thieves{stop, std::thread([&] { thief(seed ^ 0x1111); }),
+                        std::thread([&] { thief(seed ^ 0x2222); })};
+
+    // Owner (this thread): rounds of push-all / mixed pop+work until every
+    // item of the round is claimed by someone.
+    Prng rng(seed);
+    Stopwatch clock;
+    int rounds = 0;
+    while (clock.elapsed_seconds() < seconds || rounds == 0) {
+      for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
+      claimed_total.store(0, std::memory_order_release);
+      round.fetch_add(1, std::memory_order_acq_rel);
+      std::size_t pushed = 0;
+      while (pushed < kBatch) {
+        const std::size_t burst =
+            std::min<std::size_t>(1 + rng.next_below(16), kBatch - pushed);
+        for (std::size_t i = 0; i < burst; ++i)
+          deque.push_bottom(arena.item(pushed + i));
+        pushed += burst;
+        // Interleave owner pops so the last-item CAS race actually runs.
+        const std::size_t pops = rng.next_below(burst + 1);
+        for (std::size_t i = 0; i < pops; ++i) {
+          if (void* item = deque.pop_bottom()) claim(item);
+        }
       }
+      // Drain the remainder (owner side) and wait for in-flight steals.
+      while (claimed_total.load(std::memory_order_acquire) < kBatch) {
+        if (void* item = deque.pop_bottom())
+          claim(item);
+        else
+          std::this_thread::yield();
+      }
+      ASSERT_FALSE(double_claim.load()) << "item delivered twice";
+      ASSERT_FALSE(bad_order.load()) << "thief observed non-monotonic steals";
+      // Exactly-once: every claim counter is exactly 1.
+      for (std::size_t i = 0; i < kBatch; ++i)
+        ASSERT_EQ(claimed[i].load(std::memory_order_relaxed), 1u)
+            << "item " << i << " round " << rounds;
+      ++rounds;
     }
-    // Drain the remainder (owner side) and wait for in-flight steals.
-    while (claimed_total.load(std::memory_order_acquire) < kBatch) {
-      if (void* item = deque.pop_bottom())
-        claim(item);
-      else
-        std::this_thread::yield();
-    }
-    ASSERT_FALSE(double_claim.load()) << "item delivered twice";
-    ASSERT_FALSE(bad_order.load()) << "thief observed non-monotonic steals";
-    // Exactly-once: every claim counter is exactly 1.
-    for (std::size_t i = 0; i < kBatch; ++i)
-      ASSERT_EQ(claimed[i].load(std::memory_order_relaxed), 1u)
-          << "item " << i << " round " << rounds;
-    ++rounds;
-  }
-  stop.store(true, std::memory_order_release);
-  t1.join();
-  t2.join();
+  }  // joins the thieves
   EXPECT_EQ(deque.pop_bottom(), nullptr);
 }
 

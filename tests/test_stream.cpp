@@ -27,8 +27,8 @@ using runtime::DummyMode;
 using runtime::Kernel;
 using runtime::Value;
 
-constexpr Backend kBackends[] = {Backend::Sim, Backend::Threaded,
-                                 Backend::Pooled};
+using harness::BackendLeg;
+using harness::kBackendLegs;
 
 void expect_same_report(const RunReport& expected, const RunReport& actual,
                         const std::string& label) {
@@ -73,10 +73,10 @@ TEST(Stream, PortFedTokensBitIdenticalToBatchRun) {
     rs.backend = Backend::Sim;
     const RunReport reference = session.run(rs);
     ASSERT_TRUE(reference.completed);
-    for (const Backend backend : kBackends) {
+    for (const BackendLeg& leg : kBackendLegs) {
       StreamSpec ss;
       ss.run = rs;
-      ss.run.backend = backend;
+      leg.apply(ss.run);
       Stream stream = session.open(ss);
       ASSERT_EQ(stream.input_count(), 1u);
       ASSERT_EQ(stream.output_count(), 1u);
@@ -85,7 +85,7 @@ TEST(Stream, PortFedTokensBitIdenticalToBatchRun) {
       EXPECT_TRUE(stream.input(0).closed());
       const RunReport report = stream.finish();
       expect_same_report(reference, report,
-                         std::string("port+") + to_string(backend));
+                         std::string("port+") + leg.name());
     }
   }
 }
@@ -94,12 +94,12 @@ TEST(Stream, PortFedTokensBitIdenticalToBatchRun) {
 // comes out of the OutputPort, in order, with matching sequence numbers.
 TEST(Stream, PayloadsFlowInOrderThroughEveryBackend) {
   const StreamGraph g = workloads::pipeline(3, 4);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     Session session(g, workloads::passthrough_kernels(g));
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     Stream stream = session.open(ss);
     InputPort& in = stream.input(0);
     OutputPort& out = stream.output(0);
@@ -122,10 +122,10 @@ TEST(Stream, PayloadsFlowInOrderThroughEveryBackend) {
                 static_cast<std::int64_t>(received) * 10);
       ++received;
     }
-    EXPECT_EQ(received, 64u) << to_string(backend);
-    EXPECT_TRUE(out.ended()) << to_string(backend);
+    EXPECT_EQ(received, 64u) << leg.name();
+    EXPECT_TRUE(out.ended()) << leg.name();
     const RunReport report = stream.finish();
-    EXPECT_TRUE(report.completed) << to_string(backend);
+    EXPECT_TRUE(report.completed) << leg.name();
     EXPECT_EQ(in.pushed(), 64u);
   }
 }
@@ -167,11 +167,11 @@ TEST(Stream, DeadlockVerdictWaitsForPortCloseOnEveryBackend) {
   Session batch_session(g, wedge_kernels());
   const RunReport reference = batch_session.run(batch_rs);
   ASSERT_TRUE(reference.deadlocked);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     Session session(g, wedge_kernels());
     StreamSpec ss;
     ss.run = batch_rs;
-    ss.run.backend = backend;
+    leg.apply(ss.run);
     ss.feed_capacity = 128;  // whole run fits: pushes never block on a wedge
     Stream stream = session.open(ss);
     for (int i = 0; i < 100; ++i) ASSERT_TRUE(stream.input(0).push());
@@ -179,14 +179,14 @@ TEST(Stream, DeadlockVerdictWaitsForPortCloseOnEveryBackend) {
     // end-of-stream (the wedged sink never fires -- alignment starves on
     // the filtered long path -- so no items arrive either).
     OutputPort& out = stream.output(0);
-    if (backend == Backend::Sim) stream.pump();
+    if (leg.backend == Backend::Sim) stream.pump();
     while (out.poll().has_value()) {
     }
-    EXPECT_FALSE(out.ended()) << to_string(backend);
+    EXPECT_FALSE(out.ended()) << leg.name();
     // Dynamic EOS: now the wedge is certifiable, bit-identical to batch.
     stream.input(0).close();
     const RunReport report = stream.finish();
-    const std::string label = std::string("port+") + to_string(backend);
+    const std::string label = std::string("port+") + leg.name();
     EXPECT_TRUE(report.deadlocked) << label;
     EXPECT_FALSE(report.completed) << label;
     ASSERT_FALSE(report.state_dump.empty()) << label;
@@ -199,32 +199,33 @@ TEST(Stream, DeadlockVerdictWaitsForPortCloseOnEveryBackend) {
 }
 
 // Taps must never affect deadlock verdicts: a caller draining the tap
-// slower than the threaded watchdog's certification window (tick x
-// confirm_ticks) keeps the sink parked on a full tap while every other
-// thread is blocked -- which must read as "awaiting the caller", not as a
-// certifiable wedge. Regression test for the tap-park being hidden from
-// the watchdog monitor.
-TEST(Stream, ThreadedSlowTapDrainIsNotDeadlock) {
+// slowly after close keeps the sink parked on a full tap while every other
+// node has finished -- which must read as "awaiting the caller", not as a
+// certifiable wedge (a sink parked on its tap never counts toward exact
+// quiescence).
+TEST(Stream, SlowTapDrainAfterCloseIsNotDeadlock) {
   const StreamGraph g = workloads::pipeline(2, 4);
-  Session session(g, workloads::passthrough_kernels(g));
-  StreamSpec ss;
-  ss.run.backend = Backend::Threaded;
-  ss.run.mode = DummyMode::None;
-  ss.run.watchdog_tick = std::chrono::milliseconds(1);
-  ss.run.deadlock_confirm_ticks = 5;  // ~5ms window, far below the drain gap
-  ss.egress_capacity = 2;
-  Stream stream = session.open(ss);
-  for (int i = 0; i < 12; ++i) ASSERT_TRUE(stream.input(0).push());
-  stream.input(0).close();  // arms the watchdog
-  std::uint64_t received = 0;
-  while (auto item = stream.output(0).next()) {
-    ++received;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (const BackendLeg& leg : kBackendLegs) {
+    if (leg.backend == Backend::Sim) continue;  // Sim pumps inside next()
+    Session session(g, workloads::passthrough_kernels(g));
+    StreamSpec ss;
+    ss.run.mode = DummyMode::None;
+    ss.run.pool_workers = 2;
+    leg.apply(ss.run);
+    ss.egress_capacity = 2;
+    Stream stream = session.open(ss);
+    for (int i = 0; i < 12; ++i) ASSERT_TRUE(stream.input(0).push());
+    stream.input(0).close();
+    std::uint64_t received = 0;
+    while (auto item = stream.output(0).next()) {
+      ++received;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_EQ(received, 12u) << leg.name();
+    const RunReport report = stream.finish();
+    EXPECT_TRUE(report.completed) << leg.name();
+    EXPECT_FALSE(report.deadlocked) << leg.name();
   }
-  EXPECT_EQ(received, 12u);
-  const RunReport report = stream.finish();
-  EXPECT_TRUE(report.completed);
-  EXPECT_FALSE(report.deadlocked);
 }
 
 // A kernel that parks its first firing until the test releases it -- the
@@ -261,9 +262,10 @@ class GateKernel final : public Kernel {
 // Session::submit must be genuinely asynchronous on every backend: the
 // source kernel blocks until the test releases it *after* submit returns,
 // so an inline submit would trip the kernel's 10s timeout.
-TEST(Stream, SubmitIsAsynchronousOnSimAndThreaded) {
+TEST(Stream, SubmitIsAsynchronousOnSimAndPrivatePool) {
   const StreamGraph g = workloads::pipeline(2, 4);
-  for (const Backend backend : {Backend::Sim, Backend::Threaded}) {
+  // Pooled without a shared pool takes the thread-offload path, like Sim.
+  for (const Backend backend : {Backend::Sim, Backend::Pooled}) {
     auto gate = std::make_shared<GateKernel>();
     std::vector<std::shared_ptr<Kernel>> kernels{gate,
                                                  runtime::pass_through_kernel()};
@@ -319,15 +321,15 @@ TEST(Stream, SharedPoolInterleavesLiveStreams) {
 // and a closed port reports Ended, not TimedOut.
 TEST(Stream, TryPushForTimesOutOnWedgeThenStillCertifies) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  for (const Backend backend : kBackends) {
+  for (const BackendLeg& leg : kBackendLegs) {
     Session session(g, wedge_kernels());
     StreamSpec ss;
-    ss.run.backend = backend;
     ss.run.mode = DummyMode::None;
     ss.run.pool_workers = 2;
+    leg.apply(ss.run);
     ss.feed_capacity = 4;
     Stream stream = session.open(ss);
-    const std::string label = to_string(backend);
+    const std::string label = leg.name();
 
     PortPushOutcome outcome = PortPushOutcome::Ok;
     const auto start = std::chrono::steady_clock::now();
@@ -372,9 +374,9 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
   constexpr std::int64_t kItems = 150;
   for (const auto mode :
        {DummyMode::Propagation, DummyMode::NonPropagation}) {
-    for (const Backend backend : kBackends) {
+    for (const BackendLeg& leg : kBackendLegs) {
       const std::string label =
-          std::string(to_string(backend)) + "+mode" +
+          std::string(leg.name()) + "+mode" +
           std::to_string(static_cast<int>(mode));
       RunReport reports[2];
       std::vector<std::int64_t> payloads[2];
@@ -383,8 +385,8 @@ TEST(Stream, PushBatchBitIdenticalToItemPushes) {
         StreamSpec ss;
         ss.run.mode = mode;
         ss.run.apply(compiled);
-        ss.run.backend = backend;
         ss.run.pool_workers = 2;
+        leg.apply(ss.run);
         Stream stream = session.open(ss);
         const auto drain = [&] {
           while (auto item = stream.output(0).poll())
