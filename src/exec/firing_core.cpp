@@ -19,12 +19,12 @@ constexpr std::size_t kNoTail = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 std::optional<runtime::HeadView> DeliverySink::peek_feed(bool /*may_wait*/) {
-  SDAF_ASSERT(false && "sink does not support port-fed sources");
+  SDAF_ASSERT(false && "sink does not support sources");
   return std::nullopt;
 }
 
 runtime::Message DeliverySink::pop_feed() {
-  SDAF_ASSERT(false && "sink does not support port-fed sources");
+  SDAF_ASSERT(false && "sink does not support sources");
   return {};
 }
 
@@ -77,30 +77,26 @@ std::string dump_wedged_state(
 
 FiringCore::FiringCore(NodeId node, runtime::Kernel& kernel,
                        std::size_t in_slots, std::size_t out_slots,
-                       runtime::NodeWrapper wrapper, std::uint64_t num_inputs,
-                       DeliverySink& sink, std::uint32_t batch,
-                       runtime::Tracer* tracer, const std::uint64_t* tick,
-                       bool port_fed, obs::NodeCounters* metrics)
+                       runtime::NodeWrapper wrapper,
+                       std::uint64_t /*num_inputs*/, DeliverySink& sink,
+                       std::uint32_t batch, runtime::Tracer* tracer,
+                       const std::uint64_t* tick, obs::NodeCounters* metrics)
     : node_(node),
       kernel_(kernel),
       in_slots_(in_slots),
       out_slots_(out_slots),
       wrapper_(std::move(wrapper)),
-      num_inputs_(num_inputs),
       sink_(sink),
       batch_(std::max<std::uint32_t>(1, batch)),
       tracer_(tracer),
       tick_(tick),
-      port_fed_(port_fed),
       metrics_(metrics),
       emitter_(out_slots),
       inputs_(in_slots),
-      feed_input_(port_fed ? 1 : 0),
+      feed_input_(in_slots == 0 ? 1 : 0),
       heads_(in_slots),
       pending_tail_(out_slots, kNoTail),
-      slot_blocked_(out_slots, 0) {
-  SDAF_EXPECTS(!port_fed_ || in_slots_ == 0);
-}
+      slot_blocked_(out_slots, 0) {}
 
 void FiringCore::trace(TraceKind kind, std::size_t slot, std::uint64_t seq) {
   if constexpr (runtime::kTracingEnabled) {
@@ -266,12 +262,12 @@ bool FiringCore::drain_pending() {
 
 std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
   static const std::vector<std::optional<runtime::Value>> no_inputs;
-  if (in_slots_ == 0 && port_fed_) {
-    // Port-fed source: one feed message per firing.
+  if (in_slots_ == 0) {
+    // Source: one feed message per firing.
     auto head = sink_.peek_feed(/*may_wait=*/pending_.empty());
     if (!head.has_value()) return 0;  // feed empty (or aborted)
     if (head->kind == MessageKind::Marker) {
-      // Barrier reaches a port-fed source directly from its InputPort:
+      // Barrier reaches a source directly from its InputPort:
       // checkpoint between seq S-1 and seq S and forward the marker.
       const std::uint64_t barrier = head->seq;
       (void)sink_.pop_feed();
@@ -281,7 +277,7 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
     if (head->kind == MessageKind::Eos) {
       // Unlike interior nodes (which leave EOS in graph channels for
       // teardown), the feed EOS is consumed: an empty feed afterwards is
-      // what lets the pooled backend's extended quiescence rule read
+      // what lets the pooled backend's quiescence rule read
       // "no port has pending items" exactly.
       (void)sink_.pop_feed();
       queue_eos();
@@ -294,29 +290,13 @@ std::uint64_t FiringCore::fire_once(std::uint64_t budget) {
       kernel_.fire(m.seq, feed_input_, emitter_);
       feed_input_[0].reset();
     } else {
-      // Firing token: exactly the call shape of a self-generating source.
-      kernel_.fire(m.seq, no_inputs, emitter_);
+      kernel_.fire(m.seq, no_inputs, emitter_);  // firing token
     }
     ++fires;
     if (metrics_ != nullptr) obs::bump(metrics_->fires);
     trace(TraceKind::Fire, 0, m.seq);
     queue_outputs(m.seq, /*any_input_dummy=*/false);
     source_seq_ = m.seq + 1;
-    return 1;
-  }
-  if (in_slots_ == 0) {
-    // Source: generates one sequence number per firing, then EOS.
-    if (source_seq_ >= num_inputs_) {
-      queue_eos();
-      return 1;
-    }
-    emitter_.reset();
-    kernel_.fire(source_seq_, no_inputs, emitter_);
-    ++fires;
-    if (metrics_ != nullptr) obs::bump(metrics_->fires);
-    trace(TraceKind::Fire, 0, source_seq_);
-    queue_outputs(source_seq_, /*any_input_dummy=*/false);
-    ++source_seq_;
     return 1;
   }
   // Interior / sink: alignment needs every input head present; the next

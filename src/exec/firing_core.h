@@ -95,10 +95,10 @@ class DeliverySink {
                                                      std::size_t count,
                                                      PushOutcome* outcome) = 0;
 
-  // Port-fed sources only (FiringCore constructed with port_fed = true):
-  // head view / removal of the injected ingress feed, with the same
-  // `may_wait` meaning as peek_head. The defaults assert -- a backend that
-  // runs port-fed sources must override both.
+  // Sources only (in_slots == 0): head view / removal of the injected
+  // ingress feed, with the same `may_wait` meaning as peek_head. The
+  // defaults assert, so a sink that never drives a source (perfbench's
+  // one-in-slot QueueSink) need not override them; every backend does.
   [[nodiscard]] virtual std::optional<runtime::HeadView> peek_feed(
       bool may_wait);
   [[nodiscard]] virtual runtime::Message pop_feed();
@@ -157,12 +157,13 @@ class FiringCore {
   // events; `tick` (optional, not owned) supplies the tracer timestamp --
   // the simulator points it at its sweep counter, the pooled backend leaves
   // it null (tick 0; event *order* across threads is not meaningful there).
-  // `port_fed` (sources only, in_slots == 0): consume the sink's injected
-  // feed instead of self-generating num_inputs sequence numbers -- a
-  // payload-free data message is a pure firing token (the kernel sees the
-  // same empty input vector as a self-generating source, so a token-fed run
-  // is bit-identical to the classic one), a payload rides to the kernel as
-  // a single-slot input, and EOS triggers the ordinary flood.
+  // A source (in_slots == 0) consumes the sink's injected feed
+  // (peek_feed/pop_feed), one message per firing: a payload-free data
+  // message is a pure firing token (the kernel sees an empty input vector),
+  // a payload rides to the kernel as a single-slot input, and EOS triggers
+  // the ordinary flood. `num_inputs` is unused -- a batch run's item count
+  // is the number of tokens its feed carries -- and stays only so existing
+  // positional callers keep compiling.
   // `metrics` (optional, not owned): the node's obs counter shard;
   // increments happen at the same sites on every backend, so the counters
   // are differentially exact against the sim reference.
@@ -170,7 +171,7 @@ class FiringCore {
              std::size_t out_slots, runtime::NodeWrapper wrapper,
              std::uint64_t num_inputs, DeliverySink& sink,
              std::uint32_t batch = 1, runtime::Tracer* tracer = nullptr,
-             const std::uint64_t* tick = nullptr, bool port_fed = false,
+             const std::uint64_t* tick = nullptr,
              obs::NodeCounters* metrics = nullptr);
 
   // One scheduling quantum; returns true iff any progress was made (a
@@ -249,12 +250,10 @@ class FiringCore {
   std::size_t in_slots_;
   std::size_t out_slots_;
   runtime::NodeWrapper wrapper_;
-  std::uint64_t num_inputs_;
   DeliverySink& sink_;
   std::uint32_t batch_;
   runtime::Tracer* tracer_;
   const std::uint64_t* tick_;
-  bool port_fed_;
   obs::NodeCounters* metrics_;
   runtime::Emitter emitter_;
   std::vector<std::optional<runtime::Value>> inputs_;

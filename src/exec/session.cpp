@@ -1,10 +1,7 @@
 #include "src/exec/session.h"
 
-#include "src/runtime/channel.h"
-#include "src/runtime/pool_executor.h"
-#include "src/sim/simulation.h"
+#include "src/runtime/message.h"
 #include "src/support/contracts.h"
-#include "src/support/timer.h"
 
 namespace sdaf::exec {
 
@@ -25,77 +22,9 @@ void Session::set_compile_cache(core::CompileCache* cache) {
   cache_ = cache;
 }
 
-namespace {
-
-// The batch adapter's half of the port contract: one pre-closed ingress
-// feed per source, preloaded with num_inputs payload-free firing tokens and
-// EOS. A token-fed source is bit-identical to a self-generating one (the
-// kernel sees the same empty input vector, the feed never runs dry, and the
-// EOS lands exactly after item N), so this is "open, feed N, close, drain"
-// with the historical semantics preserved to the sweep. The full preload is
-// what buys that exactness (a source may never observe a starved feed
-// mid-run), at the price of O(num_inputs) feed memory per source -- fine
-// for every workload in this repo (<= ~1M items); truly huge batch runs
-// should stream through Session::open instead (ROADMAP tracks a chunked
-// adapter).
-struct BatchFeeds {
-  std::vector<std::unique_ptr<runtime::BoundedChannel>> channels;
-  PortBinding binding;
-
-  BatchFeeds(const StreamGraph& g, std::uint64_t num_inputs) {
-    binding.live = false;
-    for (const NodeId n : g.sources()) {
-      auto feed = std::make_unique<runtime::BoundedChannel>(
-          static_cast<std::size_t>(num_inputs) + 1);
-      for (std::uint64_t seq = 0; seq < num_inputs; ++seq) {
-        const auto r = feed->try_push(runtime::Message::data(seq, {}));
-        SDAF_ASSERT(r == runtime::PushResult::Ok);
-      }
-      const auto r = feed->try_push(runtime::Message::eos());
-      SDAF_ASSERT(r == runtime::PushResult::Ok);
-      binding.source_nodes.push_back(n);
-      binding.feeds.push_back(feed.get());
-      channels.push_back(std::move(feed));
-    }
-    for (const NodeId n : g.sinks()) {
-      binding.sink_nodes.push_back(n);
-      binding.egress.push_back(nullptr);  // batch runs keep sinks untapped
-    }
-  }
-};
-
-}  // namespace
-
 RunReport Session::run(const RunSpec& spec) {
-  if (spec.ports == nullptr && !graph_.sources().empty()) {
-    BatchFeeds feeds(graph_, spec.num_inputs);
-    RunSpec bound = spec;
-    bound.ports = &feeds.binding;
-    return run(bound);
-  }
-  // The backends consume RunSpec directly (ignoring the fields that do not
-  // apply to them), so dispatch is just construction + run.
-  RunReport report;
-  switch (spec.backend) {
-    case Backend::Sim: {
-      Stopwatch clock;
-      sim::Simulation simulation(graph_, kernels_);
-      report = simulation.run(spec);
-      report.wall_seconds = clock.elapsed_seconds();
-      break;
-    }
-    case Backend::Pooled: {
-      if (spec.pool != nullptr) {
-        report = spec.pool->run(graph_, kernels_, spec);
-      } else {
-        runtime::PoolExecutor::Options popt;
-        popt.workers = spec.pool_workers;
-        runtime::PoolExecutor pool(popt);
-        report = pool.run(graph_, kernels_, spec);
-      }
-      break;
-    }
-  }
+  Stream stream = open_batch(spec);
+  RunReport report = finish_batch(stream);
   fold_metrics(spec, report);
   return report;
 }
@@ -153,30 +82,25 @@ Session::CompiledRun Session::compile_and_run(RunSpec spec,
 }
 
 RunReport Session::Pending::get() {
-  // Each Pending may be get() exactly once, on every backend path.
-  if (ready_.has_value()) {
-    RunReport report = *std::move(ready_);
-    ready_.reset();
-    return report;
-  }
-  if (future_.valid()) return future_.get();
-  SDAF_ASSERT(pool_ != nullptr);
-  runtime::PoolExecutor* pool = pool_;
-  pool_ = nullptr;
-  return pool->wait(ticket_);
+  if (future_.valid()) return future_.get();  // at most once, by contract
+  SDAF_EXPECTS(stream_.has_value());
+  RunReport report = finish_batch(*stream_);
+  stream_.reset();
+  return report;
 }
 
 Session::Pending Session::submit(const RunSpec& spec) {
   Pending pending;
   if (spec.backend == Backend::Pooled && spec.pool != nullptr) {
-    pending.pool_ = spec.pool;
-    pending.ticket_ = spec.pool->submit(graph_, kernels_, spec);
+    // Feeding closes every port before the tokens are consumed (the feeds
+    // have room for all of them), so the run proceeds on the pool's
+    // workers while the Pending waits to collect it.
+    pending.stream_.emplace(open_batch(spec));
   } else {
     // Thread-offload so Pending::get() never runs the workload inline on
     // any backend. The worker owns a copy of the graph and re-fronts it
     // with a throwaway Session, so neither this Session nor the caller's
-    // graph needs to outlive get() (unlike the shared-pool path, whose
-    // ticket machinery keeps the historical graph-outlives-wait contract).
+    // graph needs to outlive get().
     pending.future_ = std::async(
         std::launch::async,
         [graph = graph_, kernels = kernels_, spec]() mutable {

@@ -1,13 +1,14 @@
 // One execution API. exec::Session is the single entry point for running a
-// compiled stream graph, in either of two shapes:
+// compiled stream graph, and every run it starts is an exec::Stream:
 //
 //   - Streaming: session.open(StreamSpec) returns an exec::Stream whose
 //     InputPorts/OutputPorts carry live, backpressured traffic with
 //     dynamic per-port EOS (src/exec/stream.h) -- the serving shape.
-//   - Batch: session.run(RunSpec) / compile_and_run() execute num_inputs
-//     items to completion or deadlock. This is a thin adapter over the
-//     same ports (open, feed N firing tokens, close, drain), bit-identical
-//     to the historical self-generating run.
+//   - Batch: session.run(RunSpec) / compile_and_run() / submit() execute
+//     num_inputs items to completion or deadlock. A batch run is a thin
+//     client of the same Stream: open it without taps, push num_inputs
+//     payload-free firing tokens into every source port, close the ports,
+//     and collect the verdict.
 //
 // The two backends -- the deterministic simulator and the pooled
 // work-stealing scheduler -- share one firing rule
@@ -46,10 +47,6 @@
 #include "src/qos/admission.h"
 #include "src/runtime/kernel.h"
 
-namespace sdaf::runtime {
-class PoolExecutor;
-}  // namespace sdaf::runtime
-
 namespace sdaf::exec {
 
 class Session {
@@ -60,13 +57,13 @@ class Session {
   Session(const StreamGraph& g,
           std::vector<std::shared_ptr<runtime::Kernel>> kernels);
 
-  // One execution to completion or deadlock on the chosen backend. This is
-  // the thin batch adapter over the port machinery: unless the caller bound
-  // ports already, the sources are fed from pre-closed ingress channels
-  // holding num_inputs firing tokens plus EOS -- open, feed N, close, drain
-  // -- which is bit-identical to the historical self-generating run (same
-  // traffic, fires, verdicts, and Sim sweep counts; the differential
-  // harness enforces it).
+  // One execution to completion or deadlock on the chosen backend: open a
+  // Stream, feed each source num_inputs firing tokens, close, collect. The
+  // feeds hold every token before the first Sim sweep, so the sweep rule
+  // sees fully fed sources and its counts are reproducible; a deadlocked
+  // report carries the engine's edge/node dump without the port lines
+  // Stream::finish adds. RunSpec::credits and RunSpec::metrics apply as
+  // they do to a Stream; no egress taps are attached.
   [[nodiscard]] RunReport run(const RunSpec& spec);
 
   // Long-lived streaming execution with external ports: push live traffic
@@ -116,23 +113,22 @@ class Session {
       core::Rounding rounding = core::Rounding::Floor);
 
   // Asynchronous submission: submit() never runs the workload inline. The
-  // Pooled backend with a shared spec.pool rides the pool's own ticket
-  // machinery (the graph must then outlive get(), as it must outlive
-  // PoolExecutor::wait); every other configuration is offloaded to a
-  // dedicated thread that owns a *copy* of the graph, so neither the
-  // Session nor the caller's graph needs to survive until get(). A
-  // Pending that is destroyed without get() waits for the offloaded run
-  // to finish (std::future semantics) and discards the report.
+  // Pooled backend with a shared spec.pool opens the batch Stream on the
+  // pool (tokens pushed, ports closed) and the Pending holds it; get()
+  // finishes it. The graph and the pool must then outlive the Pending, as
+  // they must outlive any Stream. Every other configuration is offloaded
+  // to a dedicated thread that owns a *copy* of the graph, so neither the
+  // Session nor the caller's graph needs to survive until get(). A Pending
+  // that is destroyed without get() waits for its run to finish and
+  // discards the report. get() may be called once.
   class Pending {
    public:
     [[nodiscard]] RunReport get();
 
    private:
     friend class Session;
-    std::optional<RunReport> ready_;
-    std::future<RunReport> future_;
-    runtime::PoolExecutor* pool_ = nullptr;
-    std::uint64_t ticket_ = 0;
+    std::optional<Stream> stream_;   // shared pool
+    std::future<RunReport> future_;  // Sim, private pool
   };
   [[nodiscard]] Pending submit(const RunSpec& spec);
 
@@ -154,6 +150,11 @@ class Session {
 
  private:
   void fold_metrics(const RunSpec& spec, const RunReport& report);
+  // The batch adapter (src/exec/stream.cpp): a Stream for `spec` whose
+  // sources were fed spec.num_inputs firing tokens and closed.
+  [[nodiscard]] Stream open_batch(const RunSpec& spec);
+  // Finishes an open_batch Stream: Stream::finish without the port lines.
+  [[nodiscard]] static RunReport finish_batch(Stream& stream);
 
   const StreamGraph& graph_;
   std::vector<std::shared_ptr<runtime::Kernel>> kernels_;

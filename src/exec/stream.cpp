@@ -167,7 +167,6 @@ struct Core {
       credits = spec.run.credits;
       credit_releaser.gauge = credits;
     }
-    binding.live = true;
     for (const NodeId n : graph.sources()) {
       binding.source_nodes.push_back(n);
       // capacity + 1: the extra slot is reserved for EOS, so close() can
@@ -812,10 +811,10 @@ struct Core {
     // deadlock or abort) goes back to the tenant's window now, so one
     // wedged stream cannot leak its co-streams' credits forever.
     if (credits != nullptr) credit_releaser.release_rest();
-    if (report.deadlocked) append_port_dump(&report);
     return report;
   }
 
+  // Stream::finish's addition to a deadlock dump: port occupancies.
   void append_port_dump(RunReport* report) const {
     std::ostringstream out;
     for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -953,7 +952,7 @@ struct SimCore final : Core {
 
 // ------------------------------------------------------------- Pooled ---
 // Node tasks on a worker pool; port transitions become task wake-ups
-// through the PoolExecutor stream hooks, and the extended quiescence rule
+// through the PoolExecutor stream hooks, and the pool's quiescence rule
 // ("quiescent and no port has pending items") keeps the deadlock verdict
 // exact while ports are open.
 struct PooledCore final : Core {
@@ -978,7 +977,7 @@ struct PooledCore final : Core {
     handle = pool->stream_handle(ticket);
     restore_src = nullptr;  // borrow ends with submit
     // Ports restored closed (their sources restored done) never call
-    // feed_closed; report them so the extended quiescence rule sees the
+    // feed_closed; report them so the quiescence rule sees the
     // right open-port count.
     for (std::size_t i = 0; i < inputs.size(); ++i)
       if (inputs[i]->closed()) {
@@ -1148,12 +1147,47 @@ std::optional<ckpt::StreamSnapshot> Stream::snapshot(
 
 std::uint64_t Stream::epoch() const { return core_->epoch; }
 
-RunReport Stream::finish() { return core_->finish(); }
+RunReport Stream::finish() {
+  RunReport report = core_->finish();
+  if (report.deadlocked) core_->append_port_dump(&report);
+  return report;
+}
 
 // Defined here (not session.cpp) so the concrete cores stay file-local.
 Stream Session::open(StreamSpec spec) {
   return Stream(stream_detail::make_core(graph_, kernels_, std::move(spec),
                                          /*restore=*/nullptr));
+}
+
+Stream Session::open_batch(const RunSpec& spec) {
+  StreamSpec ss;
+  ss.run = spec;
+  // Room for every token: pushes never park, and on Sim nothing pumps
+  // while feeding, so every token is queued before the first sweep.
+  ss.feed_capacity =
+      static_cast<std::size_t>(std::max<std::uint64_t>(1, spec.num_inputs));
+  ss.capture_outputs = false;
+  ss.metrics = false;  // spec.run.metrics, when set, still applies
+  Stream stream = open(std::move(ss));
+  constexpr std::uint64_t kChunk = 4096;  // bounds the staging vector
+  for (std::size_t i = 0; i < stream.input_count(); ++i) {
+    InputPort& port = stream.input(i);
+    for (std::uint64_t fed = 0; fed < spec.num_inputs;) {
+      const std::uint64_t want = std::min(kChunk, spec.num_inputs - fed);
+      const std::size_t accepted = port.push_batch(
+          std::vector<runtime::Value>(static_cast<std::size_t>(want)));
+      fed += accepted;
+      // Short only under a credit window: the stream ended or, on Sim,
+      // wedged. The close below still lets finish() reach the verdict.
+      if (accepted < want) break;
+    }
+    port.close();
+  }
+  return stream;
+}
+
+RunReport Session::finish_batch(Stream& stream) {
+  return stream.core_->finish();
 }
 
 namespace {

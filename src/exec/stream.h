@@ -1,6 +1,7 @@
 // Long-lived streaming sessions with external ports: the live-traffic face
-// of the execution API. Session::open(StreamSpec) returns an exec::Stream
-// whose typed ports replace the closed-world RunSpec::num_inputs contract:
+// of the execution API, and the path every run takes (a Session batch run
+// is a Stream fed num_inputs tokens and closed). Session::open(StreamSpec)
+// returns an exec::Stream whose typed ports carry a dynamic item count:
 //
 //   exec::Session session(graph, kernels);
 //   exec::StreamSpec spec;
@@ -17,17 +18,18 @@
 // existing EOS flood) and one OutputPort per sink node (poll / poll_batch /
 // blocking next), on both backends: the simulator drains whatever was
 // pushed between deterministic sweeps on the caller's thread, and the pooled
-// backend turns port transitions into task wake-ups with quiescence
-// extended to "quiescent *and* no port has pending items", so deadlock
-// certification stays exact while ports are open (see
+// backend turns port transitions into task wake-ups, and its verdict rule is
+// "quiescent *and* no port has pending items", so deadlock certification
+// stays exact while ports are open (see
 // runtime::PoolExecutor::submit).
 //
 // The paper's dummy-interval avoidance runs unchanged underneath: ports
 // inject and extract *sequence-numbered* traffic at the graph boundary,
-// and every interior wrapper, interval, and verdict is byte-for-byte the
-// batch machinery. A port-fed run that pushes N items and closes is
-// bit-identical to the classic num_inputs = N run -- the differential
-// harness enforces it (tests/harness, feed=port).
+// and every interior wrapper, interval, and verdict is the same firing
+// rule. A Session batch run is itself a Stream fed N firing tokens and
+// closed; a caller that pushes the same N items in any pacing and closes
+// gets a bit-identical report -- the differential harness enforces it
+// (tests/harness, feed=port).
 #pragma once
 
 #include <atomic>
@@ -92,8 +94,8 @@ class InputPort {
   InputPort& operator=(const InputPort&) = delete;
 
   // Pushes the next item (sequence numbers are assigned in push order). An
-  // empty Value is a pure firing token: the source kernel fires exactly as
-  // a self-generating source (empty input vector); a non-empty Value rides
+  // empty Value is a pure firing token: the source kernel fires with an
+  // empty input vector, as in a batch run; a non-empty Value rides
   // to the kernel as its single input. push() blocks on backpressure (on
   // the Sim backend it pumps sweeps instead of blocking) and returns false
   // iff the port is closed or the stream ended (deadlock certified /

@@ -7,8 +7,7 @@ namespace sdaf::runtime {
 NodeState::NodeState(NodeId node, Kernel& kernel,
                      std::vector<BoundedChannel*> ins,
                      std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-                     NodeWrapper wrapper, std::uint64_t num_inputs,
-                     std::vector<NodeId> in_producers,
+                     NodeWrapper wrapper, std::vector<NodeId> in_producers,
                      std::vector<NodeId> out_consumers, Waker* waker,
                      std::uint32_t batch, Tracer* tracer,
                      obs::NodeCounters* metrics)
@@ -19,8 +18,9 @@ NodeState::NodeState(NodeId node, Kernel& kernel,
       out_consumers_(std::move(out_consumers)),
       waker_(waker),
       core_(node, kernel, ins_.size(), outs_.size(), std::move(wrapper),
-            num_inputs, *this, batch, tracer, /*tick=*/nullptr,
-            /*port_fed=*/feed != nullptr, metrics) {
+            /*num_inputs=*/0, *this, batch, tracer, /*tick=*/nullptr,
+            metrics) {
+  SDAF_EXPECTS((feed_ != nullptr) == ins_.empty());
   SDAF_EXPECTS(in_producers_.size() == ins_.size());
   SDAF_EXPECTS(out_consumers_.size() == outs_.size());
   SDAF_EXPECTS(waker_ != nullptr);

@@ -39,14 +39,13 @@ class NodeState final : private exec::DeliverySink {
   // `in_producers[j]` / `out_consumers[slot]` name the node at the far end
   // of the corresponding channel; they are the wake targets for the
   // pop-freed-a-full-channel / push-filled-an-empty-channel transitions.
-  // `feed` (optional) makes the node a port-fed source consuming the
-  // injected channel; an egress tap rides in `outs` as one extra slot whose
+  // `feed` is a source's injected ingress channel (non-null iff `ins` is
+  // empty); an egress tap rides in `outs` as one extra slot whose
   // out_consumers entry is kNoNode (its consumer is the external caller,
   // woken through the channel itself, never through the Waker).
   NodeState(NodeId node, Kernel& kernel, std::vector<BoundedChannel*> ins,
             std::vector<BoundedChannel*> outs, BoundedChannel* feed,
-            NodeWrapper wrapper, std::uint64_t num_inputs,
-            std::vector<NodeId> in_producers,
+            NodeWrapper wrapper, std::vector<NodeId> in_producers,
             std::vector<NodeId> out_consumers, Waker* waker,
             std::uint32_t batch = 1, Tracer* tracer = nullptr,
             obs::NodeCounters* metrics = nullptr);

@@ -95,10 +95,10 @@ struct PoolExecutor::Instance final : Waker {
   std::size_t lane = 0;
 
   // Queued + running tasks of this instance. Wake-ups only originate from
-  // tasks of the same instance (or, for live ports, from the stream hooks,
-  // which always follow the channel transition they report), so 0 here
-  // means quiescence: no node of this instance can progress until a port
-  // supplies more work -- and with no open ports that verdict is final:
+  // tasks of the same instance or from the stream hooks (which always
+  // follow the port transition they report), so 0 here means quiescence:
+  // no node of this instance can progress until a port supplies more work
+  // -- and with every port closed and drained that verdict is final:
   // either all nodes finished (completed) or some cannot (deadlock),
   // exactly. Distribution does not blur this: a task counts from its
   // schedule() CAS until its park decrement wherever it sits -- a hot
@@ -109,15 +109,14 @@ struct PoolExecutor::Instance final : Waker {
   // nonzero, so quiescence stays exact per instance (docs/SCHEDULER.md).
   std::atomic<std::int64_t> active{0};
 
-  // Live-port bookkeeping. `streaming` is set for ports->live submissions;
-  // `open_ports` counts input ports whose EOS has not been pushed yet.
-  // finalize() is gated on open_ports == 0 *and* every feed drained: the
-  // close protocol is push-EOS, then decrement, then wake, so whenever a
-  // quiescent observer reads open_ports == 0, the EOS that closed the last
-  // port is already visible -- it either still sits in the feed (then the
-  // close's wake re-activates the instance) or was consumed (then the feed
-  // is empty and the nodes took the flood as far as it goes).
-  bool streaming = false;
+  // Port bookkeeping: `open_ports` counts input ports whose EOS has not
+  // been pushed yet. finalize() is gated on open_ports == 0 *and* every
+  // feed drained (see maybe_finalize): the close protocol is push-EOS,
+  // then decrement, then wake, so whenever a quiescent observer reads
+  // open_ports == 0, the EOS that closed the last port is already visible
+  // -- it either still sits in the feed (then the close's wake re-activates
+  // the instance) or was consumed (then the feed is empty and the nodes
+  // took the flood as far as it goes).
   const exec::PortBinding* ports = nullptr;
   std::atomic<std::int64_t> open_ports{0};
   // Serializes caller-side port wakes against the final verdict: a stream
@@ -127,8 +126,8 @@ struct PoolExecutor::Instance final : Waker {
   // port-transition edges take it, never the data fast path.
   std::mutex port_mu;
   std::atomic<bool> dead{false};
-  // Workers inside the quiescence-decrement + maybe_finalize window. With
-  // live ports `active` can reach zero many times, so a *stale* verdict
+  // Workers inside the quiescence-decrement + maybe_finalize window. While
+  // ports are open `active` can reach zero many times, so a *stale* verdict
   // attempt may still be parked on port_mu when the real finalize lets the
   // caller collect -- wait() spins this count to zero before handing the
   // instance to its destroyer.
@@ -208,6 +207,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   const std::size_t node_count = g.node_count();
   SDAF_EXPECTS(kernels.size() == node_count);
   for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
+  SDAF_EXPECTS(options.ports != nullptr);
 
   std::vector<std::int64_t> intervals = options.intervals;
   if (intervals.empty()) intervals.assign(edges, kInfiniteInterval);
@@ -221,10 +221,8 @@ PoolExecutor::TicketId PoolExecutor::submit(
   instance->graph = &g;
   instance->kernels = std::move(kernels);
   instance->ports = options.ports;
-  instance->streaming = options.ports != nullptr && options.ports->live;
-  if (instance->streaming)
-    instance->open_ports.store(
-        static_cast<std::int64_t>(options.ports->feeds.size()));
+  instance->open_ports.store(
+      static_cast<std::int64_t>(options.ports->feeds.size()));
   instance->tracer = options.tracer;
   instance->lane = options_.fair_injector
                        ? intern_lane(options.tenant, options.tenant_weight)
@@ -256,23 +254,20 @@ PoolExecutor::TicketId PoolExecutor::submit(
       out_intervals.push_back(intervals[e]);
       out_forward.push_back(forward[e]);
     }
-    BoundedChannel* feed = nullptr;
-    if (options.ports != nullptr) {
-      feed = options.ports->feed_for(n);
-      if (BoundedChannel* egress = options.ports->egress_for(n)) {
-        // The egress tap is one extra out-slot: infinite dummy interval,
-        // never continuation-forwarding, no consumer task to wake.
-        outs.push_back(egress);
-        out_consumers.push_back(kNoNode);
-        out_intervals.push_back(kInfiniteInterval);
-        out_forward.push_back(0);
-      }
+    if (BoundedChannel* egress = options.ports->egress_for(n)) {
+      // The egress tap is one extra out-slot: infinite dummy interval,
+      // never continuation-forwarding, no consumer task to wake.
+      outs.push_back(egress);
+      out_consumers.push_back(kNoNode);
+      out_intervals.push_back(kInfiniteInterval);
+      out_forward.push_back(0);
     }
     instance->nodes.push_back(std::make_unique<NodeState>(
-        n, *instance->kernels[n], std::move(ins), std::move(outs), feed,
+        n, *instance->kernels[n], std::move(ins), std::move(outs),
+        options.ports->feed_for(n),
         NodeWrapper(options.mode, std::move(out_intervals),
                     std::move(out_forward)),
-        options.num_inputs, std::move(in_producers), std::move(out_consumers),
+        std::move(in_producers), std::move(out_consumers),
         instance.get(), options.batch, options.tracer,
         options.metrics != nullptr ? &options.metrics->node(n) : nullptr));
     instance->tasks[n].instance = instance.get();
@@ -592,12 +587,8 @@ void PoolExecutor::run_task(NodeTask* task) {
 }
 
 void PoolExecutor::maybe_finalize(Instance& instance) {
-  if (!instance.streaming) {
-    finalize(instance);
-    return;
-  }
-  // Extended quiescence rule for live ports: the verdict is final only when
-  // the instance is quiescent *and* no port can still supply work:
+  // The quiescence rule with ports: the verdict is final only when the
+  // instance is quiescent *and* no port can still supply work:
   //   - an open input port means the caller may push or close later;
   //   - a non-empty feed still holds the EOS whose close-wake is in flight;
   //   - a sink parked on its egress slot resumes when the caller drains the
@@ -605,10 +596,10 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
   // In each of those cases the instance idles -- quiescence is "awaiting
   // the caller", not a verdict -- and the corresponding port wake
   // re-activates it. Otherwise all nodes either finished (completed) or
-  // are wedged on graph channels alone (deadlock), exactly as in the
-  // closed-world rule. port_mu freezes the instance for the decision: any
-  // concurrent stream hook either scheduled first (then `active` is
-  // nonzero below) or waits and observes `dead`.
+  // are wedged on graph channels alone (deadlock), exactly. port_mu
+  // freezes the instance for the decision: any concurrent stream hook
+  // either scheduled first (then `active` is nonzero below) or waits and
+  // observes `dead`.
   std::lock_guard plock(instance.port_mu);
   if (instance.dead.load(std::memory_order_relaxed)) return;
   if (instance.active.load(std::memory_order_acquire) != 0) return;
@@ -622,7 +613,7 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
       // waiting on input, in which case the close/push wake that follows
       // every feed transition re-activates the instance. A source parked
       // on full *outputs* can never drain its feed: those items are part
-      // of the wedge, exactly like a batch source's ungenerated remainder.
+      // of the wedge.
       if (instance.ports->feeds[i]->empty()) continue;
       const NodeId n = instance.ports->source_nodes[i];
       if (instance.nodes[n]->done()) continue;
@@ -688,7 +679,7 @@ void PoolExecutor::finalize(Instance& instance) {
         },
         instance.tracer);
   }
-  if (instance.streaming && result.deadlocked) {
+  if (result.deadlocked) {
     // Release callers parked on the ports: a pusher blocked on a full feed
     // and a poller blocked on an empty tap both unwind on abort (remaining
     // tap contents stay drainable).
@@ -812,17 +803,10 @@ exec::RunReport PoolExecutor::wait(TicketId ticket) {
   return result;
 }
 
-exec::RunReport PoolExecutor::run(
-    const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
-    const exec::RunSpec& options) {
-  return wait(submit(g, std::move(kernels), options));
-}
-
 PoolExecutor::StreamHandle PoolExecutor::stream_handle(TicketId ticket) {
   std::lock_guard lock(instances_mu_);
   auto it = instances_.find(ticket);
   SDAF_EXPECTS(it != instances_.end());
-  SDAF_EXPECTS(it->second->streaming);
   return it->second;
 }
 

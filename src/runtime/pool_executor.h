@@ -23,14 +23,15 @@
 //
 // Deadlock is certified *exactly*, not by watchdog timing: a per-instance
 // counter tracks queued + running tasks; nodes are only woken by channel
-// transitions caused by other tasks of the same instance, so when the
-// counter reaches zero no future progress is possible. Distributing the
+// transitions caused by other tasks of the same instance or by port
+// transitions, so when the counter reaches zero with every port closed and
+// drained no future progress is possible. Distributing the
 // ready queue does not move that quiescence point: a task counts from its
 // schedule() transition until its park decrement, wherever it sits -- a
 // hot slot, any deque, a per-tenant injector lane, or a thief's hands
 // between the winning steal CAS and run_task. If nodes remain unfinished
-// at quiescence the instance deadlocked -- the same verdict sim::simulate
-// computes. The DRR lanes (qos) reorder only *when* queued tasks run,
+// at quiescence the instance deadlocked -- the same verdict the Sim
+// backend's sweep rule computes. The DRR lanes (qos) reorder only *when* queued tasks run,
 // never whether they are counted, so weighting one tenant down cannot
 // turn another tenant's starvation into a false deadlock verdict.
 //
@@ -40,10 +41,10 @@
 // decomposition + interval computation) across submissions of the same
 // topology.
 //
-// Prefer the exec::Session facade (src/exec/session.h) for new code --
-// point RunSpec::pool at a shared PoolExecutor; this header stays as the
-// backend implementation. The firing semantics live in
-// src/exec/firing_core.cpp, shared with the simulator.
+// Callers run graphs through exec::Session / exec::Stream -- point
+// RunSpec::pool at a shared PoolExecutor; submit() and the stream hooks
+// below are the port plumbing exec::Stream drives. The firing semantics
+// live in src/exec/firing_core.cpp, shared with the simulator.
 #pragma once
 
 #include <atomic>
@@ -112,7 +113,9 @@ class PoolExecutor {
   explicit PoolExecutor(std::size_t workers) : PoolExecutor(Options{workers}) {}
   explicit PoolExecutor(const Options& options);
   // Waits for every submitted instance to finish (deadlocked instances
-  // finish too -- quiescence is detected exactly), then joins the pool.
+  // finish too -- quiescence is detected exactly), then joins the pool. An
+  // instance with an open port never finishes, so every Stream on this
+  // pool must be finished or destroyed first.
   ~PoolExecutor();
 
   PoolExecutor(const PoolExecutor&) = delete;
@@ -125,15 +128,15 @@ class PoolExecutor {
   // the backend-selection and Sim fields are ignored (deadlock here is
   // certified by exact quiescence, not timing).
   //
-  // With options.ports set, sources read the injected feeds and tapped
-  // sinks gain an egress out-slot. Live ports (ports->live) extend the
-  // quiescence rule: the instance only finalizes when it is quiescent *and*
-  // no port can still supply work -- every port reported closed
-  // (stream_port_closed), no input-starved source with a non-empty feed,
-  // no sink parked on its egress tap -- so deadlock certification stays
-  // exact while ports are open (quiescence with an open port is "idle,
-  // awaiting the caller", never a verdict). The port channels must outlive
-  // the instance; exec::Stream owns them.
+  // options.ports must be set: sources read the injected feeds and tapped
+  // sinks gain an egress out-slot. The instance only finalizes when it is
+  // quiescent *and* no port can still supply work -- every port reported
+  // closed (stream_port_closed), no input-starved source with a non-empty
+  // feed, no sink parked on its egress tap -- so deadlock certification
+  // stays exact while ports are open (quiescence with an open port is
+  // "idle, awaiting the caller", never a verdict). On a deadlock verdict
+  // every port channel is aborted, releasing callers parked on them. The
+  // port channels must outlive the instance; exec::Stream owns them.
   [[nodiscard]] TicketId submit(const StreamGraph& g,
                                 std::vector<std::shared_ptr<Kernel>> kernels,
                                 const exec::RunSpec& options);
@@ -159,11 +162,6 @@ class PoolExecutor {
 
   // Blocks until the instance finishes; each ticket may be waited once.
   [[nodiscard]] exec::RunReport wait(TicketId ticket);
-
-  // submit + wait.
-  [[nodiscard]] exec::RunReport run(
-      const StreamGraph& g, std::vector<std::shared_ptr<Kernel>> kernels,
-      const exec::RunSpec& options);
 
   [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
 
@@ -210,8 +208,8 @@ class PoolExecutor {
   // The calling thread's counter shard: its own when it is one of this
   // pool's workers, the shared external shard otherwise.
   [[nodiscard]] obs::WorkerCounters& current_shard();
-  // Called at quiescence (active hit zero): finalize, or stay idle when an
-  // open port may still supply work.
+  // Called at quiescence (active hit zero): finalize, or stay idle when a
+  // port may still supply work.
   void maybe_finalize(Instance& instance);
   void finalize(Instance& instance);
 

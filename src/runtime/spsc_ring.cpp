@@ -49,6 +49,13 @@ void SpscRing::publish(std::size_t count, PushEffect* effect) {
   // the happens-before edge to the consumer's last writes to that slot.
   const std::uint64_t popped_now = popped_.load(std::memory_order_acquire);
   p_.popped_cache = popped_now;
+  // popped_cache and markers_cache must move together (popped_ first, as in
+  // logical_space): a fresh popped_ that includes a marker's pop next to a
+  // cached count that still holds that marker subtracts it twice and
+  // over-admits one logical slot per stale marker. The cache only ever
+  // over-counts (this producer is the sole incrementer), so zero is exact.
+  if (p_.markers_cache != 0)
+    p_.markers_cache = markers_in_ring_.load(std::memory_order_acquire);
   if (effect != nullptr) {
     // popped_now > before means the consumer already consumed part of this
     // very push: it is certainly awake, so the wake-up may be elided.

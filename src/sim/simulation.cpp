@@ -56,16 +56,15 @@ struct SimChannel {
 // Sweep-step sink: an exec::FiringCore over plain rings. Nothing ever
 // blocks or wakes; the round-robin sweep in SweepEngine supplies the
 // scheduling and the core's step() return value is the progress signal the
-// exact deadlock verdict rests on. A port-fed source reads the injected
-// `feed` BoundedChannel; a tapped sink owns one extra out-slot backed by
+// exact deadlock verdict rests on. A source reads the injected `feed`
+// BoundedChannel; a tapped sink owns one extra out-slot backed by
 // the `egress` BoundedChannel (both drained/refilled by the caller between
 // pumps -- single-threaded, so the channel atomics are uncontended).
 class SimNode final : private exec::DeliverySink {
  public:
   SimNode(NodeId node, runtime::Kernel& kernel, std::vector<SimChannel*> ins,
           std::vector<SimChannel*> outs, BoundedChannel* feed,
-          BoundedChannel* egress, NodeWrapper wrapper,
-          std::uint64_t num_inputs, std::uint32_t batch,
+          BoundedChannel* egress, NodeWrapper wrapper, std::uint32_t batch,
           runtime::Tracer* tracer, const std::uint64_t* sweep,
           obs::NodeCounters* metrics)
       : ins_(std::move(ins)),
@@ -74,8 +73,9 @@ class SimNode final : private exec::DeliverySink {
         egress_(egress),
         core_(node, kernel, ins_.size(),
               outs_.size() + (egress != nullptr ? 1 : 0), std::move(wrapper),
-              num_inputs, *this, batch, tracer, sweep,
-              /*port_fed=*/feed != nullptr, metrics) {}
+              /*num_inputs=*/0, *this, batch, tracer, sweep, metrics) {
+    SDAF_EXPECTS((feed_ != nullptr) == ins_.empty());
+  }
 
   // One scheduling quantum; returns true if any progress was made.
   bool step() { return core_.step(); }
@@ -214,6 +214,7 @@ SweepEngine::SweepEngine(
     : impl_(std::make_unique<Impl>(g)) {
   SDAF_EXPECTS(kernels.size() == g.node_count());
   for (const auto& k : kernels) SDAF_EXPECTS(k != nullptr);
+  SDAF_EXPECTS(options.ports != nullptr);
   impl_->max_sweeps = options.max_sweeps;
   impl_->tracer = options.tracer;
 
@@ -246,23 +247,19 @@ SweepEngine::SweepEngine(
       out_intervals.push_back(intervals[e]);
       out_forward.push_back(forward[e]);
     }
-    BoundedChannel* feed = nullptr;
-    BoundedChannel* egress = nullptr;
-    if (options.ports != nullptr) {
-      feed = options.ports->feed_for(n);
-      egress = options.ports->egress_for(n);
-      if (egress != nullptr) {
-        // The egress tap is one extra out-slot: infinite dummy interval,
-        // never continuation-forwarding.
-        out_intervals.push_back(kInfiniteInterval);
-        out_forward.push_back(0);
-      }
+    BoundedChannel* egress = options.ports->egress_for(n);
+    if (egress != nullptr) {
+      // The egress tap is one extra out-slot: infinite dummy interval,
+      // never continuation-forwarding.
+      out_intervals.push_back(kInfiniteInterval);
+      out_forward.push_back(0);
     }
     impl_->nodes.push_back(std::make_unique<SimNode>(
-        n, *kernels[n], std::move(ins), std::move(outs), feed, egress,
+        n, *kernels[n], std::move(ins), std::move(outs),
+        options.ports->feed_for(n), egress,
         NodeWrapper(options.mode, std::move(out_intervals),
                     std::move(out_forward)),
-        options.num_inputs, options.batch, options.tracer, &impl_->sweeps,
+        options.batch, options.tracer, &impl_->sweeps,
         options.metrics != nullptr ? &options.metrics->node(n) : nullptr));
   }
 
@@ -365,27 +362,6 @@ exec::RunReport SweepEngine::report(bool deadlocked) const {
     result.sink_data[n] = s.nodes[n]->sink_data();
   }
   return result;
-}
-
-Simulation::Simulation(const StreamGraph& g,
-                       std::vector<std::shared_ptr<runtime::Kernel>> kernels)
-    : graph_(g), kernels_(std::move(kernels)) {
-  SDAF_EXPECTS(kernels_.size() == g.node_count());
-  for (const auto& k : kernels_) SDAF_EXPECTS(k != nullptr);
-}
-
-exec::RunReport Simulation::run(const exec::RunSpec& options) {
-  // Live ports would make a no-progress sweep ambiguous (more input may
-  // arrive); this blocking entry point only accepts pre-closed feeds.
-  SDAF_EXPECTS(options.ports == nullptr || !options.ports->live);
-  SweepEngine engine(graph_, kernels_, options);
-  (void)engine.pump();
-  // With every feed pre-closed, pump() stopping short of completion inside
-  // the sweep budget is exactly the historical verdict: a full round-robin
-  // sweep with no progress while work remains.
-  const bool deadlocked =
-      !engine.all_done() && engine.sweeps() < options.max_sweeps;
-  return engine.report(deadlocked);
 }
 
 }  // namespace sdaf::sim

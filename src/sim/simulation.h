@@ -3,15 +3,16 @@
 // node (same alignment rule, same wrappers, same blocking structure --
 // nodes stall mid-emission on a full channel, holding already-consumed
 // inputs). Deadlock is detected exactly -- a full round-robin sweep with no
-// progress while work remains -- with no timers, making the traffic and
-// deadlock benchmarks reproducible on any machine. Channels are the
-// sequential runtime::MessageRing whose coalescing the pooled backend's
-// SpscRing reproduces, so the batched data plane is differential-tested
-// against the sweep semantics.
+// progress while work remains and every port closed -- with no timers,
+// making the traffic and deadlock benchmarks reproducible on any machine.
+// Channels are the sequential runtime::MessageRing whose coalescing the
+// pooled backend's SpscRing reproduces, so the batched data plane is
+// differential-tested against the sweep semantics.
 //
-// Prefer the exec::Session facade (src/exec/session.h) for new code; this
-// header stays as the backend implementation. Options and results are the
-// exec types (exec::RunSpec / exec::RunReport).
+// This is the engine behind exec::Backend::Sim; callers reach it through
+// exec::Session (batch runs) or exec::Stream (live ports), both of which
+// drive it through the same port-fed path. Options and results are the exec
+// types (exec::RunSpec / exec::RunReport).
 #pragma once
 
 #include <memory>
@@ -24,29 +25,15 @@
 
 namespace sdaf::sim {
 
-class Simulation {
- public:
-  Simulation(const StreamGraph& g,
-             std::vector<std::shared_ptr<runtime::Kernel>> kernels);
-
-  // Consumes spec.mode/intervals/forward_on_filter/num_inputs/tracer/batch,
-  // max_sweeps and ports; backend-selection and pool fields are ignored.
-  [[nodiscard]] exec::RunReport run(const exec::RunSpec& options);
-
- private:
-  const StreamGraph& graph_;
-  std::vector<std::shared_ptr<runtime::Kernel>> kernels_;
-};
-
-// The incremental sweep engine behind both Simulation::run and the Sim
-// backend of exec::Stream: the same channels, nodes, and round-robin sweep
-// rule, but the *caller* owns the sweep loop, so injected feed channels
-// (exec::RunSpec::ports) can be refilled between pumps -- "the sim drains
-// whatever is pushed between deterministic sweeps". A pump that stops
-// without finishing is not a verdict by itself: only the caller knows
-// whether more input may still arrive (Simulation::run knows it cannot, so
-// there a no-progress pump *is* the exact deadlock verdict of the paper's
-// sweep rule).
+// The incremental sweep engine behind the Sim backend of exec::Stream: the
+// channels, nodes, and round-robin sweep rule, with the *caller* owning the
+// sweep loop, so the injected feed channels (exec::RunSpec::ports, which
+// must be set: every source is port-fed) can be refilled between pumps --
+// "the sim drains whatever is pushed between deterministic sweeps". A pump
+// that stops without finishing is not a verdict by itself: only the caller
+// knows whether more input may still arrive. Once every port is closed, a
+// no-progress pump *is* the exact deadlock verdict of the paper's sweep
+// rule.
 class SweepEngine {
  public:
   SweepEngine(const StreamGraph& g,
@@ -59,9 +46,8 @@ class SweepEngine {
 
   // Round-robin sweeps until every node is done, a sweep makes no progress,
   // or sweeps() reaches the spec's max_sweeps. Returns true iff any sweep
-  // made progress. Sweep accounting is bit-compatible with the historical
-  // Simulation::run loop: terminal sweeps (the all-done one and a
-  // no-progress one) are not counted.
+  // made progress. Terminal sweeps (the all-done one and a no-progress one)
+  // are not counted, so re-pumping an engine that stopped adds no sweeps.
   bool pump();
 
   [[nodiscard]] bool all_done() const;

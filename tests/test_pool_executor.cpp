@@ -5,7 +5,6 @@
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/exec/stream.h"
-#include "src/sim/simulation.h"
 #include "src/support/prng.h"
 #include "src/workloads/filters.h"
 #include "src/workloads/random_ladder.h"
@@ -33,16 +32,6 @@ std::vector<std::shared_ptr<Kernel>> case_kernels(const ParityCase& c) {
   return workloads::relay_kernels(c.graph, c.pass_rate, c.seed);
 }
 
-exec::RunReport run_sim(const ParityCase& c) {
-  sim::Simulation s(c.graph, case_kernels(c));
-  exec::RunSpec opt;
-  opt.mode = c.mode;
-  opt.intervals = c.intervals;
-  opt.forward_on_filter = c.forward_on_filter;
-  opt.num_inputs = c.num_inputs;
-  return s.run(opt);
-}
-
 exec::RunSpec run_spec(const ParityCase& c) {
   exec::RunSpec opt;
   opt.mode = c.mode;
@@ -50,6 +39,21 @@ exec::RunSpec run_spec(const ParityCase& c) {
   opt.forward_on_filter = c.forward_on_filter;
   opt.num_inputs = c.num_inputs;
   return opt;
+}
+
+exec::RunReport run_sim(const ParityCase& c) {
+  exec::Session s(c.graph, case_kernels(c));
+  return s.run(run_spec(c));
+}
+
+// A batch run on the test's own pool, through the facade.
+exec::RunReport run_on(PoolExecutor& pool, const StreamGraph& g,
+                       std::vector<std::shared_ptr<Kernel>> kernels,
+                       exec::RunSpec spec) {
+  spec.backend = exec::Backend::Pooled;
+  spec.pool = &pool;
+  exec::Session session(g, std::move(kernels));
+  return session.run(spec);
 }
 
 void expect_parity(const exec::RunReport& expected, const exec::RunReport& actual,
@@ -70,7 +74,7 @@ void expect_parity(const exec::RunReport& expected, const exec::RunReport& actua
 void check_pool_parity(PoolExecutor& pool, const ParityCase& c,
                        const std::string& label) {
   const auto expected = run_sim(c);
-  const auto pooled = pool.run(c.graph, case_kernels(c), run_spec(c));
+  const auto pooled = run_on(pool, c.graph, case_kernels(c), run_spec(c));
   expect_parity(expected, pooled, label + " [pool]");
 }
 
@@ -80,7 +84,7 @@ TEST(PoolExecutor, PipelineDeliversEverything) {
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
-  const auto r = pool.run(g, workloads::passthrough_kernels(g), opt);
+  const auto r = run_on(pool, g, workloads::passthrough_kernels(g), opt);
   EXPECT_TRUE(r.completed);
   EXPECT_FALSE(r.deadlocked);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -103,7 +107,7 @@ TEST(PoolExecutor, Fig2DeadlockVerdictIsExact) {
     k.push_back(pass_through_kernel());
     return k;
   };
-  sim::Simulation s(g, kernels());
+  exec::Session s(g, kernels());
   exec::RunSpec sopt;
   sopt.mode = DummyMode::None;
   sopt.num_inputs = 100;
@@ -114,7 +118,7 @@ TEST(PoolExecutor, Fig2DeadlockVerdictIsExact) {
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
-  const auto r = pool.run(g, kernels(), opt);
+  const auto r = run_on(pool, g, kernels(), opt);
   EXPECT_TRUE(r.deadlocked);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(expected.sink_data, r.sink_data);
@@ -146,7 +150,7 @@ TEST(PoolExecutor, Fig2SafeWithCompiledIntervalsBothModes) {
         workloads::adversarial_prefix_filter(1, 100)));
     kernels.push_back(pass_through_kernel());
     kernels.push_back(pass_through_kernel());
-    const auto r = pool.run(g, std::move(kernels), run_spec(c));
+    const auto r = run_on(pool, g, std::move(kernels), run_spec(c));
     EXPECT_TRUE(r.completed) << to_string(algorithm);
     EXPECT_EQ(r.sink_data[2], 100u);
   }
@@ -191,7 +195,7 @@ TEST(PoolExecutor, MultiTenantInstancesInterleave) {
   PoolExecutor pool(3);
   struct Submitted {
     ParityCase c;
-    PoolExecutor::TicketId ticket;
+    exec::Session::Pending pending;
   };
   std::vector<Submitted> submitted;
   for (int round = 0; round < 4; ++round) {
@@ -206,12 +210,16 @@ TEST(PoolExecutor, MultiTenantInstancesInterleave) {
                  70,
                  0.5,
                  0x70u + static_cast<std::uint64_t>(round)};
-    for (const auto& c : {p, s, t})
+    for (const auto& c : {p, s, t}) {
+      exec::RunSpec spec = run_spec(c);
+      spec.backend = exec::Backend::Pooled;
+      spec.pool = &pool;
       submitted.push_back(
-          {c, pool.submit(c.graph, case_kernels(c), run_spec(c))});
+          {c, exec::Session(c.graph, case_kernels(c)).submit(spec)});
+    }
   }
   for (auto& sub : submitted)
-    expect_parity(run_sim(sub.c), pool.wait(sub.ticket), "multi-tenant");
+    expect_parity(run_sim(sub.c), sub.pending.get(), "multi-tenant");
 }
 
 TEST(PoolExecutor, TenThousandNodeLadderOnSixteenThreads) {
@@ -232,7 +240,7 @@ TEST(PoolExecutor, TenThousandNodeLadderOnSixteenThreads) {
   exec::RunSpec eopt;
   eopt.mode = DummyMode::None;
   eopt.num_inputs = 3;
-  const auto r = pool.run(g, workloads::passthrough_kernels(g), eopt);
+  const auto r = run_on(pool, g, workloads::passthrough_kernels(g), eopt);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.sink_data[g.unique_sink()],
             3u * g.in_degree(g.unique_sink()));
@@ -290,7 +298,7 @@ TEST(PoolExecutor, DeadlockVerdictExactWhileStealsInFlight) {
     k.push_back(pass_through_kernel());
     return k;
   };
-  sim::Simulation s(g, kernels());
+  exec::Session s(g, kernels());
   exec::RunSpec sopt;
   sopt.mode = DummyMode::None;
   sopt.num_inputs = 100;
@@ -302,7 +310,7 @@ TEST(PoolExecutor, DeadlockVerdictExactWhileStealsInFlight) {
   opt.num_inputs = 100;
   for (std::uint64_t round = 0; round < 8; ++round) {
     PoolExecutor pool(adversarial_options(0x5DEA1 + round));
-    const auto r = pool.run(g, kernels(), opt);
+    const auto r = run_on(pool, g, kernels(), opt);
     EXPECT_TRUE(r.deadlocked) << "round " << round;
     EXPECT_FALSE(r.completed) << "round " << round;
     EXPECT_EQ(expected.sink_data, r.sink_data) << "round " << round;
@@ -404,8 +412,8 @@ TEST(PoolExecutor, RepeatedRunsAreIndependent) {
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 20;
-  const auto r1 = pool.run(g, workloads::passthrough_kernels(g), opt);
-  const auto r2 = pool.run(g, workloads::passthrough_kernels(g), opt);
+  const auto r1 = run_on(pool, g, workloads::passthrough_kernels(g), opt);
+  const auto r2 = run_on(pool, g, workloads::passthrough_kernels(g), opt);
   EXPECT_TRUE(r1.completed);
   EXPECT_TRUE(r2.completed);
   EXPECT_EQ(r1.total_data(), r2.total_data());

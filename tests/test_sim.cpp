@@ -1,5 +1,5 @@
-#include "src/sim/simulation.h"
-
+// The Sim backend through exec::Session: the paper's sweep rule, exact
+// deadlock verdicts, deterministic traffic and sweep counts.
 #include <gtest/gtest.h>
 
 #include "src/core/compile.h"
@@ -10,6 +10,7 @@
 namespace sdaf::sim {
 namespace {
 
+using exec::Session;
 using runtime::DummyMode;
 using runtime::Kernel;
 using runtime::RelayKernel;
@@ -25,7 +26,7 @@ std::vector<std::shared_ptr<Kernel>> triangle_kernels(std::uint64_t prefix) {
 
 TEST(Sim, PipelineCompletes) {
   const StreamGraph g = workloads::pipeline(4, 2);
-  Simulation sim(g, workloads::passthrough_kernels(g));
+  Session sim(g, workloads::passthrough_kernels(g));
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
@@ -36,7 +37,7 @@ TEST(Sim, PipelineCompletes) {
 
 TEST(Sim, Fig2DeadlocksWithoutDummies) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
-  Simulation sim(g, triangle_kernels(100));
+  Session sim(g, triangle_kernels(100));
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
@@ -54,7 +55,7 @@ TEST(Sim, Fig2DeadlockThresholdTracksBufferSlack) {
   for (const std::int64_t b : {1, 2, 3}) {
     const StreamGraph g = workloads::fig2_triangle(b, b, 2);
     const auto deadlocks = [&](std::uint64_t prefix) {
-      Simulation sim(g, triangle_kernels(prefix));
+      Session sim(g, triangle_kernels(prefix));
       exec::RunSpec opt;
       opt.mode = DummyMode::None;
       opt.num_inputs = 1000;
@@ -84,7 +85,7 @@ TEST(Sim, Fig2DeadlockThresholdTracksBufferSlack) {
 TEST(Sim, Fig2SafeWithIntervals) {
   const StreamGraph g = workloads::fig2_triangle(2, 2, 2);
   const auto compiled = core::compile(g);
-  Simulation sim(g, triangle_kernels(1000));
+  Session sim(g, triangle_kernels(1000));
   exec::RunSpec opt;
   opt.mode = DummyMode::Propagation;
   opt.intervals = compiled.integer_intervals(core::Rounding::Floor);
@@ -108,7 +109,7 @@ TEST(Sim, MatchesExecutorTrafficExactly) {
     sopt.intervals = intervals;
     sopt.forward_on_filter = forward;
     sopt.num_inputs = 300;
-    Simulation sim(g, workloads::relay_kernels(g, p, 42));
+    Session sim(g, workloads::relay_kernels(g, p, 42));
     const auto sr = sim.run(sopt);
     ASSERT_TRUE(sr.completed);
 
@@ -138,8 +139,8 @@ TEST(Sim, DeterministicAcrossRuns) {
   opt.mode = DummyMode::NonPropagation;
   opt.intervals.assign(g.edge_count(), 2);
   opt.num_inputs = 500;
-  Simulation a(g, workloads::relay_kernels(g, 0.5, 7));
-  Simulation b(g, workloads::relay_kernels(g, 0.5, 7));
+  Session a(g, workloads::relay_kernels(g, 0.5, 7));
+  Session b(g, workloads::relay_kernels(g, 0.5, 7));
   const auto ra = a.run(opt);
   const auto rb = b.run(opt);
   EXPECT_EQ(ra.sweeps, rb.sweeps);
@@ -151,7 +152,7 @@ TEST(Sim, DeterministicAcrossRuns) {
 
 TEST(Sim, MaxOccupancyBounded) {
   const StreamGraph g = workloads::fig1_splitjoin(3);
-  Simulation sim(g, workloads::passthrough_kernels(g));
+  Session sim(g, workloads::passthrough_kernels(g));
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 100;
@@ -162,7 +163,7 @@ TEST(Sim, MaxOccupancyBounded) {
 
 TEST(Sim, SweepGuardReportsNeither) {
   const StreamGraph g = workloads::pipeline(3, 1);
-  Simulation sim(g, workloads::passthrough_kernels(g));
+  Session sim(g, workloads::passthrough_kernels(g));
   exec::RunSpec opt;
   opt.mode = DummyMode::None;
   opt.num_inputs = 1000;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -283,6 +284,132 @@ TEST(SpscRingHammer, TwoThreadsPlusOccupancyObserver) {
   do {
     for (const std::size_t capacity : {1u, 2u, 3u, 8u, 64u})
       hammer(capacity, seed + 977u * rounds + capacity, 4000);
+    ++rounds;
+  } while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+               .count() < seconds);
+  SUCCEED() << rounds << " hammer rounds";
+}
+
+// The ingress-feed shape of a snapshotting stream: a producer lands data in
+// try_push_batch rounds of up to 1024 messages, appends a dummy run, and
+// injects one barrier marker whenever the previous one has been consumed
+// (the snapshot plane's at-most-one-marker invariant), probing size() every
+// round the way the port push path does. A consumer drains data, dummy runs
+// and markers. Any marker miscount on the producer side over-admits past
+// the logical capacity, which size() asserts against and the consumer sees
+// as a reordered or overwritten message.
+void marker_batch_hammer(std::size_t capacity, std::uint64_t seed,
+                         int rounds) {
+  struct Round {
+    std::uint64_t first_seq;
+    std::size_t data;
+    std::size_t dummies;
+  };
+  std::vector<Round> plan;
+  {
+    Prng rng(seed);
+    std::uint64_t seq = 0;
+    for (int r = 0; r < rounds; ++r) {
+      const std::size_t data = 1 + rng.next_below(1024);
+      const std::size_t dummies = rng.next_below(600);
+      plan.push_back({seq, data, dummies});
+      seq += data + dummies;
+    }
+  }
+  SpscRing ring(capacity);
+  std::atomic<std::uint64_t> markers_popped{0};
+
+  std::thread producer([&] {
+    std::uint64_t markers_pushed = 0;
+    std::vector<Message> batch;
+    for (const Round& r : plan) {
+      ASSERT_LE(ring.size(), capacity);
+      batch.clear();
+      for (std::size_t k = 0; k < r.data; ++k)
+        batch.push_back(Message::data(
+            r.first_seq + k,
+            Value(static_cast<std::int64_t>(r.first_seq + k))));
+      std::size_t done = 0;
+      while (done < batch.size()) {
+        const std::size_t got =
+            ring.try_push_batch(batch.data() + done, batch.size() - done);
+        done += got;
+        if (got == 0) std::this_thread::yield();  // full: 1-CPU friendly
+      }
+      const std::uint64_t dummy_seq = r.first_seq + r.data;
+      std::size_t pushed = 0;
+      while (pushed < r.dummies) {
+        const std::size_t got =
+            ring.try_push_dummies(dummy_seq + pushed, r.dummies - pushed);
+        pushed += got;
+        if (got == 0) std::this_thread::yield();
+      }
+      if (markers_popped.load(std::memory_order_acquire) == markers_pushed) {
+        while (!ring.try_push_marker(dummy_seq + r.dummies))
+          std::this_thread::yield();
+        ++markers_pushed;
+      }
+    }
+    while (!ring.try_push(Message::eos())) std::this_thread::yield();
+  });
+
+  // Consumer (this thread): the logical stream must arrive exactly in plan
+  // order, every marker between its round's dummies and the next round.
+  std::uint64_t next_seq = 0;
+  std::uint64_t last_marker = 0;
+  bool saw_marker = false;
+  Prng rng(seed ^ 0x55);
+  for (;;) {
+    const auto head = ring.peek_head();
+    if (!head.has_value()) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (head->kind == MessageKind::Eos) {
+      ring.pop();
+      break;
+    }
+    if (head->kind == MessageKind::Marker) {
+      ASSERT_EQ(head->seq, next_seq) << "marker out of place";
+      ASSERT_TRUE(!saw_marker || head->seq > last_marker);
+      saw_marker = true;
+      last_marker = head->seq;
+      ring.pop();
+      markers_popped.fetch_add(1, std::memory_order_release);
+      continue;
+    }
+    ASSERT_EQ(head->seq, next_seq);
+    if (head->kind == MessageKind::Dummy) {
+      const std::size_t want = 1 + rng.next_below(head->run);
+      const std::size_t got = ring.pop_dummies(want);
+      ASSERT_GE(got, 1u);
+      next_seq += got;
+      continue;
+    }
+    ASSERT_EQ(head->kind, MessageKind::Data);
+    const Message m = ring.pop_head();
+    ASSERT_EQ(m.payload.as<std::int64_t>(),
+              static_cast<std::int64_t>(next_seq));
+    ++next_seq;
+  }
+  producer.join();
+  const Round& last = plan.back();
+  EXPECT_EQ(next_seq, last.first_seq + last.data + last.dummies);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingHammer, BatchPushWithMarkersAndSizeProbe) {
+  double seconds = 0.5;
+  if (const char* env = std::getenv("SDAF_STRESS_SECONDS"))
+    seconds = std::strtod(env, nullptr);
+  std::uint64_t seed = 0x4097;
+  if (const char* env = std::getenv("SDAF_STRESS_SEED"))
+    seed = std::strtoull(env, nullptr, 0);
+  const auto start = std::chrono::steady_clock::now();
+  int rounds = 0;
+  do {
+    marker_batch_hammer(4097, seed + 131u * rounds, 200);
     ++rounds;
   } while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)

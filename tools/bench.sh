@@ -2,8 +2,9 @@
 # Benchmark runner with a machine-readable, schema-stable output contract:
 # runs bench_throughput, bench_pool_scaling and bench_streaming_latency in
 # a fixed configuration and writes google-benchmark JSON to
-# BENCH_throughput.json / BENCH_pool_scaling.json / BENCH_streaming.json at
-# the repo root, so successive PRs have a comparable trajectory to track
+# BENCH_throughput.json / BENCH_pool_scaling.json / BENCH_streaming.json
+# (at the repo root unless --out-dir says otherwise), so successive PRs
+# have a comparable trajectory to track
 # (items_per_second is the figure of merit for the batch benches; the
 # streaming bench adds push->poll p50_ns/p99_ns latency percentiles and
 # sustained-ingest items_per_second; per-run dummy counts ride along as
@@ -30,19 +31,25 @@
 # Options:
 #   --build-dir DIR   build tree holding the bench binaries
 #                     (default: build/release, configured+built if missing)
+#   --out-dir DIR     where the BENCH_*.json files go (default: the repo
+#                     root, i.e. regenerating the committed figures;
+#                     tools/ci.sh points its smoke run elsewhere)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 smoke=0
 build_dir=build/release
+out_dir=.
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --smoke) smoke=1 ;;
     --build-dir) build_dir=$2; shift ;;
+    --out-dir) out_dir=$2; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
 done
+mkdir -p "$out_dir"
 
 jobs=$(nproc 2>/dev/null || echo 2)
 if [[ ! -x "$build_dir/bench_throughput" ||
@@ -84,16 +91,16 @@ if [[ $smoke -eq 1 ]]; then
   qos_filter='BM_QosInteractive_(Solo|SharedDRR)'
 fi
 
-echo "==> bench_throughput -> BENCH_throughput.json"
+echo "==> bench_throughput -> $out_dir/BENCH_throughput.json"
 "$build_dir/bench_throughput" \
     --benchmark_filter="$throughput_filter" \
-    --benchmark_out=BENCH_throughput.json \
+    --benchmark_out="$out_dir/BENCH_throughput.json" \
     --benchmark_out_format=json
 
-echo "==> bench_pool_scaling -> BENCH_pool_scaling.json"
+echo "==> bench_pool_scaling -> $out_dir/BENCH_pool_scaling.json"
 "$build_dir/bench_pool_scaling" \
     --benchmark_filter="$pool_filter" \
-    --benchmark_out=BENCH_pool_scaling.json \
+    --benchmark_out="$out_dir/BENCH_pool_scaling.json" \
     --benchmark_out_format=json
 
 # Annotate the scaling ladder: effective_parallelism (process CPU time /
@@ -101,9 +108,9 @@ echo "==> bench_pool_scaling -> BENCH_pool_scaling.json"
 # produced on a 1-cpu runner is visibly non-evidence of scaling rather than
 # a silent flat line (tools/ci.sh --smoke asserts on these same counters
 # when the runner has >= 4 cores).
-python3 - <<'PY'
-import json
-with open("BENCH_pool_scaling.json") as f:
+python3 - "$out_dir/BENCH_pool_scaling.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
     doc = json.load(f)
 rows = [b for b in doc.get("benchmarks", [])
         if b.get("name", "").startswith("BM_PoolExecutor_LadderScaling")]
@@ -119,22 +126,22 @@ if rows:
               "cannot demonstrate scaling; run on a multi-core host")
 PY
 
-echo "==> bench_streaming_latency -> BENCH_streaming.json"
+echo "==> bench_streaming_latency -> $out_dir/BENCH_streaming.json"
 "$build_dir/bench_streaming_latency" \
     --benchmark_filter="$streaming_filter" \
-    --benchmark_out=BENCH_streaming.json \
+    --benchmark_out="$out_dir/BENCH_streaming.json" \
     --benchmark_out_format=json
 
-echo "==> bench_snapshot -> BENCH_snapshot.json"
+echo "==> bench_snapshot -> $out_dir/BENCH_snapshot.json"
 "$build_dir/bench_snapshot" \
     --benchmark_filter="$snapshot_filter" \
-    --benchmark_out=BENCH_snapshot.json \
+    --benchmark_out="$out_dir/BENCH_snapshot.json" \
     --benchmark_out_format=json
 
-echo "==> bench_qos_isolation -> BENCH_qos.json"
+echo "==> bench_qos_isolation -> $out_dir/BENCH_qos.json"
 "$build_dir/bench_qos_isolation" \
     --benchmark_filter="$qos_filter" \
-    --benchmark_out=BENCH_qos.json \
+    --benchmark_out="$out_dir/BENCH_qos.json" \
     --benchmark_out_format=json
 
 # The isolation headline: shared-under-DRR p99 as a multiple of solo p99
@@ -142,9 +149,9 @@ echo "==> bench_qos_isolation -> BENCH_qos.json"
 # demonstrate isolation -- every thread interferes with every other by
 # construction -- so the ratio is printed but flagged as non-evidence
 # below 4 hardware threads.
-python3 - <<'PY'
-import json
-with open("BENCH_qos.json") as f:
+python3 - "$out_dir/BENCH_qos.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
     doc = json.load(f)
 rows = {b["name"].split("/")[0]: b for b in doc.get("benchmarks", [])}
 solo = rows.get("BM_QosInteractive_Solo")
@@ -167,7 +174,7 @@ PY
 service_items=20000
 if [[ $smoke -eq 1 ]]; then service_items=2000; fi
 service_sock="/tmp/sdaf_bench_$$.sock"
-echo "==> sdafd + sdaf_loadgen -> BENCH_service.json"
+echo "==> sdafd + sdaf_loadgen -> $out_dir/BENCH_service.json"
 "$build_dir/sdafd" --unix="$service_sock" &
 service_pid=$!
 trap 'kill -KILL $service_pid 2>/dev/null || true; rm -f "$service_sock"' EXIT
@@ -179,7 +186,7 @@ done
 # --mix appends the two-tenant run (interactive RTT tenant vs batch
 # saturator tenant, per-tenant p50/p99) as the "mix" object in the report.
 "$build_dir/sdaf_loadgen" --unix="$service_sock" --connections=1,8,64 \
-    --items="$service_items" --mix=2:2 --out=BENCH_service.json
+    --items="$service_items" --mix=2:2 --out="$out_dir/BENCH_service.json"
 kill -TERM "$service_pid"
 wait "$service_pid"
 trap - EXIT

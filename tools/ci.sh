@@ -48,11 +48,27 @@
 #                          # and SDAF_STRESS_SEED. On a mismatch the
 #                          # harness prints a one-line SDAF_HARNESS_REPRO
 #                          # command that replays the exact failing case.
+#
+# CI never rewrites the committed BENCH_*.json at the repo root: its bench
+# smoke writes into build/release/bench-smoke/, and every mode fails if a
+# root BENCH_*.json differs byte-for-byte from what it was when CI started.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 2)
 mode=${1:-}
+
+bench_files_at_start=$(sha256sum BENCH_*.json)
+check_bench_files_unchanged() {
+  local now
+  now=$(sha256sum BENCH_*.json)
+  if [[ "$now" != "$bench_files_at_start" ]]; then
+    echo "ci: the committed BENCH_*.json at the repo root changed during" \
+         "this run:" >&2
+    diff <(echo "$bench_files_at_start") <(echo "$now") >&2 || true
+    exit 1
+  fi
+}
 
 echo "==> release build"
 cmake --preset release
@@ -234,6 +250,7 @@ if [[ "$mode" == "--smoke" ]]; then
   check_service
   check_admission
   check_pool_scaling
+  check_bench_files_unchanged
   echo "==> ci OK (smoke)"
   exit 0
 fi
@@ -262,6 +279,7 @@ if [[ "$mode" == "--crash" ]]; then
   build/tsan/test_ckpt
   build/tsan/test_crash_recovery
 
+  check_bench_files_unchanged
   echo "==> ci OK (crash)"
   exit 0
 fi
@@ -272,8 +290,8 @@ ctest --preset release -j "$jobs"
 check_prom
 check_service
 
-echo "==> bench smoke (BENCH_*.json)"
-tools/bench.sh --smoke
+echo "==> bench smoke (build/release/bench-smoke/BENCH_*.json)"
+tools/bench.sh --smoke --out-dir build/release/bench-smoke
 
 if [[ "$mode" != "--fast" ]]; then
   # Both sanitizer suites include tests/test_net_loopback.cpp (ctest picks up
@@ -312,4 +330,5 @@ if [[ "$mode" == "--stress" ]]; then
   done
 fi
 
+check_bench_files_unchanged
 echo "==> ci OK"
