@@ -458,7 +458,7 @@ std::string FiringCore::describe() const {
   for (const auto& pr : pending_) {
     s += " [slot=" + std::to_string(pr.out_slot) + " " +
          runtime::to_string(pr.message);
-    if (pr.run > 1) s += "x" + std::to_string(pr.run);
+    if (pr.run > 1) s += 'x' + std::to_string(pr.run);
     s += "]";
   }
   return s;

@@ -951,7 +951,7 @@ struct SimCore final : Core {
 };
 
 // ------------------------------------------------------------- Pooled ---
-// Node tasks on a worker pool; port transitions become task wake-ups
+// Chain tasks on a worker pool; port transitions become task wake-ups
 // through the PoolExecutor stream hooks, and the pool's quiescence rule
 // ("quiescent and no port has pending items") keeps the deadlock verdict
 // exact while ports are open.

@@ -571,7 +571,7 @@ struct Server::Impl {
     for (const auto& c : conns) {
       for (const auto& [sid, s] : c->streams) {
         obs::MetricsSnapshot snap = s->stream->metrics();
-        snap.tenant.tenant += "/" + std::to_string(s->id);
+        snap.tenant.tenant += '/' + std::to_string(s->id);
         snaps.push_back(std::move(snap));
       }
     }

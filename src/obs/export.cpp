@@ -254,7 +254,7 @@ std::string to_prometheus(const std::vector<MetricsSnapshot>& snaps) {
       w.sample(s.tenant.tenant, edge_label(c), c.occupancy);
 
   w.family("sdaf_worker_task_runs_total", "counter",
-           "Node quanta executed per pool worker.");
+           "Chain-task quanta executed per pool worker.");
   for (const auto& s : snaps)
     for (const auto& x : s.workers)
       w.sample(s.tenant.tenant,

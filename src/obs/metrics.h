@@ -74,9 +74,11 @@ struct alignas(64) ChannelCounters {
 // Per-worker scheduler counters (pooled backend); one shard per worker plus
 // one for external threads (stream wakes arriving from the caller side).
 struct alignas(64) WorkerCounters {
-  std::atomic<std::uint64_t> task_runs{0};      // node quanta executed
+  std::atomic<std::uint64_t> task_runs{0};      // chain-task quanta executed
   std::atomic<std::uint64_t> parks{0};          // tasks parked (kIdle CAS won)
-  std::atomic<std::uint64_t> wakes{0};          // tasks (re)scheduled
+  // Parked tasks made runnable (kIdle -> kQueued). Hand-offs inside a series
+  // chain are not wakes: the chain's owner steps the consumer itself.
+  std::atomic<std::uint64_t> wakes{0};
   std::atomic<std::uint64_t> steals{0};         // tasks taken from a peer
   std::atomic<std::uint64_t> steal_fails{0};    // empty/contended steal probes
   std::atomic<std::uint64_t> futex_parks{0};    // idle worker futex sleeps

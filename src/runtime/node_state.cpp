@@ -31,21 +31,26 @@ std::optional<HeadView> NodeState::peek_head(std::size_t slot,
   return ins_[slot]->try_peek_head();  // empty = parked until input fills
 }
 
+// kNoNode producer = intra-chain channel: the chain's owner steps the
+// producer itself, so the freed space needs no wake.
 Message NodeState::pop_head(std::size_t slot) {
   bool was_full = false;
   Message m = ins_[slot]->pop_head(&was_full);
-  if (was_full) waker_->wake(in_producers_[slot]);
+  if (was_full && in_producers_[slot] != kNoNode)
+    waker_->wake(in_producers_[slot]);
   return m;
 }
 
 void NodeState::pop(std::size_t slot) {
-  if (ins_[slot]->pop()) waker_->wake(in_producers_[slot]);
+  if (ins_[slot]->pop() && in_producers_[slot] != kNoNode)
+    waker_->wake(in_producers_[slot]);
 }
 
 void NodeState::pop_dummies(std::size_t slot, std::size_t count) {
   const auto run = ins_[slot]->pop_dummies(count);
   SDAF_ASSERT(run.popped == count);
-  if (run.was_full) waker_->wake(in_producers_[slot]);
+  if (run.was_full && in_producers_[slot] != kNoNode)
+    waker_->wake(in_producers_[slot]);
 }
 
 exec::PushOutcome NodeState::try_push(std::size_t slot, Message&& m) {
@@ -58,8 +63,9 @@ exec::PushOutcome NodeState::try_push(std::size_t slot, Message&& m) {
           : outs_[slot]->try_push(std::move(m), &was_empty);
   switch (result) {
     case PushResult::Ok:
-      // kNoNode = egress tap: the consumer is the external caller, woken
-      // through the channel's own condition variable, not the scheduler.
+      // kNoNode = egress tap (the consumer is the external caller, woken
+      // through the channel itself) or intra-chain channel (the chain's
+      // owner steps the consumer itself): no scheduler wake either way.
       if (was_empty && out_consumers_[slot] != kNoNode)
         waker_->wake(out_consumers_[slot]);
       return exec::PushOutcome::Delivered;

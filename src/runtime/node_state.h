@@ -1,8 +1,9 @@
-// Per-node task for pooled execution: an exec::FiringCore whose delivery
-// sink *parks* instead of blocking. A worker calls step() until it returns
-// false; any later channel transition that could unblock the node (an input
-// becoming non-empty, a full output draining) is reported through the Waker
-// so a scheduler can re-enqueue it.
+// Per-node state machine for pooled execution: an exec::FiringCore whose
+// delivery sink *parks* instead of blocking. A worker calls step() until it
+// returns false; any later channel transition that could unblock the node
+// (an input becoming non-empty, a full output draining) is reported through
+// the Waker so a scheduler can re-enqueue the node's task -- except on
+// channels whose far end is kNoNode (see the constructor).
 //
 // The task never holds a lock across a kernel firing and never waits inside
 // a channel, which is what lets a fixed worker pool run graphs with orders
@@ -39,10 +40,12 @@ class NodeState final : private exec::DeliverySink {
   // `in_producers[j]` / `out_consumers[slot]` name the node at the far end
   // of the corresponding channel; they are the wake targets for the
   // pop-freed-a-full-channel / push-filled-an-empty-channel transitions.
-  // `feed` is a source's injected ingress channel (non-null iff `ins` is
-  // empty); an egress tap rides in `outs` as one extra slot whose
+  // kNoNode means "no wake": an intra-chain channel (both endpoints belong
+  // to one pool chain task, whose owner steps them in turn) carries kNoNode
+  // at both ends, and an egress tap rides in `outs` as one extra slot whose
   // out_consumers entry is kNoNode (its consumer is the external caller,
-  // woken through the channel itself, never through the Waker).
+  // woken through the channel itself). `feed` is a source's injected
+  // ingress channel (non-null iff `ins` is empty).
   NodeState(NodeId node, Kernel& kernel, std::vector<BoundedChannel*> ins,
             std::vector<BoundedChannel*> outs, BoundedChannel* feed,
             NodeWrapper wrapper, std::vector<NodeId> in_producers,

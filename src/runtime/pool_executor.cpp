@@ -12,10 +12,11 @@ namespace sdaf::runtime {
 
 namespace pool_detail {
 
-// Scheduling state of one node task. A task is enqueued (hot slot, deque,
-// or injector) iff its state is kQueued; notifications that arrive while it
-// runs are folded into kRunningNotified so the owning worker re-runs it
-// instead of racing a second worker onto the same node.
+// Scheduling state of one chain task (a maximal series chain of nodes, see
+// series_chains). A task is enqueued (hot slot, deque, or injector) iff its
+// state is kQueued; notifications that arrive while it runs are folded into
+// kRunningNotified so the owning worker re-runs it instead of racing a
+// second worker onto the same nodes.
 enum : std::uint32_t {
   kIdle = 0,
   kQueued = 1,
@@ -25,12 +26,10 @@ enum : std::uint32_t {
 
 struct NodeTask {
   PoolExecutor::Instance* instance = nullptr;
-  NodeState* node = nullptr;
+  // The chain's members, head first: a slice of Instance::chain_nodes.
+  NodeState* const* members = nullptr;
+  std::size_t size = 0;
   std::atomic<std::uint32_t> sched{kIdle};
-  // Why the last owner parked this node (NodeState::park_summary encoding);
-  // written by the owner before the park transition, read by the post-park
-  // probe, which may race a newer owner's write -- benign, see run_task.
-  std::atomic<std::uint64_t> park_summary{0};
 };
 
 }  // namespace pool_detail
@@ -53,6 +52,54 @@ thread_local void* tls_worker = nullptr;  // PoolExecutor::Worker*
 // decision sequence for a given interleaving.
 inline void maybe_perturb(std::uint32_t p, sdaf::Prng& rng) {
   if (p != 0 && rng.next_below(256) < p) std::this_thread::yield();
+}
+
+// The graph's maximal series chains, one pool task each. Edge (u, v) is
+// fused iff out_degree(u) == 1 and in_degree(v) == 1, so every node has at
+// most one fused successor and one fused predecessor and the fused edges
+// form disjoint paths. The rule reads degrees only: it needs no compile
+// result and covers unprotected and non-SP graphs alike. O(V + E).
+struct Chains {
+  static constexpr std::uint32_t kNoTask = ~std::uint32_t{0};
+  std::vector<NodeId> order;           // all nodes, chain by chain, head first
+  std::vector<std::size_t> starts;     // chain t: order[starts[t], starts[t+1])
+  std::vector<std::uint32_t> task_of;  // node -> chain
+  std::vector<std::uint8_t> fused_in;  // the node's one in-edge is intra-chain
+};
+
+Chains series_chains(const StreamGraph& g) {
+  const std::size_t n = g.node_count();
+  std::vector<NodeId> next(n, kNoNode);
+  std::vector<std::uint8_t> has_pred(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    if (g.out_degree(u) != 1) continue;
+    const NodeId v = g.edge(g.out_edges(u)[0]).to;
+    if (g.in_degree(v) != 1) continue;
+    next[u] = v;
+    has_pred[v] = 1;
+  }
+  Chains c;
+  c.task_of.assign(n, Chains::kNoTask);
+  c.fused_in.assign(n, 0);
+  c.order.reserve(n);
+  const auto walk = [&](NodeId head) {
+    const auto t = static_cast<std::uint32_t>(c.starts.size());
+    c.starts.push_back(c.order.size());
+    for (NodeId m = head; m != kNoNode && c.task_of[m] == Chains::kNoTask;
+         m = next[m]) {
+      c.fused_in[m] = m != head ? 1 : 0;
+      c.task_of[m] = t;
+      c.order.push_back(m);
+    }
+  };
+  for (NodeId v = 0; v < n; ++v)
+    if (has_pred[v] == 0) walk(v);
+  // Only a closed ring of fused edges has no head (never in a DAG); cut it
+  // anywhere.
+  for (NodeId v = 0; v < n; ++v)
+    if (c.task_of[v] == Chains::kNoTask) walk(v);
+  c.starts.push_back(c.order.size());
+  return c;
 }
 
 }  // namespace
@@ -87,7 +134,16 @@ struct PoolExecutor::Instance final : Waker {
   std::vector<std::shared_ptr<Kernel>> kernels;
   std::vector<std::unique_ptr<BoundedChannel>> channels;
   std::vector<std::unique_ptr<NodeState>> nodes;
+  // One task per series chain; chain_nodes holds every node grouped by
+  // chain, head first, and task_of maps a node to its chain's task.
   std::vector<NodeTask> tasks;
+  std::vector<NodeState*> chain_nodes;
+  std::vector<std::uint32_t> task_of;
+  // Why each node last parked (NodeState::park_summary encoding), written
+  // by its chain's owner before the park transition and read by the
+  // post-park probe (which may race a newer owner's write -- benign, see
+  // run_task), maybe_finalize and the deadlock dump.
+  std::vector<std::atomic<std::uint64_t>> park_summary;
   Tracer* tracer = nullptr;
   Stopwatch clock;
   // Injector lane this instance's external wakes and quantum yields land
@@ -140,7 +196,7 @@ struct PoolExecutor::Instance final : Waker {
   exec::RunReport result;
 
   void wake(NodeId node) override {
-    executor->schedule(&tasks[node]);
+    executor->schedule(&tasks[task_of[node]]);
   }
 };
 
@@ -235,22 +291,26 @@ PoolExecutor::TicketId PoolExecutor::submit(
       instance->channels.back()->set_metrics(&options.metrics->channel(e));
   }
 
-  instance->tasks = std::vector<NodeTask>(node_count);
+  // Intra-chain channel endpoints are kNoNode: only the chain's running
+  // owner moves data across them, so their transitions need no wake.
+  Chains chains = series_chains(g);
   instance->nodes.reserve(node_count);
   for (NodeId n = 0; n < node_count; ++n) {
     std::vector<BoundedChannel*> ins;
     std::vector<NodeId> in_producers;
     for (const EdgeId e : g.in_edges(n)) {
       ins.push_back(instance->channels[e].get());
-      in_producers.push_back(g.edge(e).from);
+      in_producers.push_back(chains.fused_in[n] != 0 ? kNoNode
+                                                     : g.edge(e).from);
     }
     std::vector<BoundedChannel*> outs;
     std::vector<NodeId> out_consumers;
     std::vector<std::int64_t> out_intervals;
     std::vector<std::uint8_t> out_forward;
     for (const EdgeId e : g.out_edges(n)) {
+      const NodeId to = g.edge(e).to;
       outs.push_back(instance->channels[e].get());
-      out_consumers.push_back(g.edge(e).to);
+      out_consumers.push_back(chains.fused_in[to] != 0 ? kNoNode : to);
       out_intervals.push_back(intervals[e]);
       out_forward.push_back(forward[e]);
     }
@@ -270,8 +330,18 @@ PoolExecutor::TicketId PoolExecutor::submit(
         std::move(in_producers), std::move(out_consumers),
         instance.get(), options.batch, options.tracer,
         options.metrics != nullptr ? &options.metrics->node(n) : nullptr));
-    instance->tasks[n].instance = instance.get();
-    instance->tasks[n].node = instance->nodes.back().get();
+  }
+  instance->park_summary = std::vector<std::atomic<std::uint64_t>>(node_count);
+  instance->chain_nodes.reserve(node_count);
+  for (const NodeId n : chains.order)
+    instance->chain_nodes.push_back(instance->nodes[n].get());
+  instance->task_of = std::move(chains.task_of);
+  instance->tasks = std::vector<NodeTask>(chains.starts.size() - 1);
+  for (std::size_t t = 0; t < instance->tasks.size(); ++t) {
+    instance->tasks[t].instance = instance.get();
+    instance->tasks[t].members =
+        instance->chain_nodes.data() + chains.starts[t];
+    instance->tasks[t].size = chains.starts[t + 1] - chains.starts[t];
   }
 
   if (options.ckpt_plane != nullptr)
@@ -310,7 +380,7 @@ PoolExecutor::TicketId PoolExecutor::submit(
   // otherwise drain to zero before every node is scheduled): hold one
   // synthetic active task for the duration of submission.
   instance->active.store(1);
-  // Kick every node once; interior nodes immediately park until fed.
+  // Kick every task once; interior chains immediately park until fed.
   for (NodeTask& task : instance->tasks) schedule(&task);
   instance->verdict_guests.fetch_add(1, std::memory_order_acq_rel);
   if (instance->active.fetch_sub(1) == 1) maybe_finalize(*instance);
@@ -516,7 +586,7 @@ void PoolExecutor::schedule(NodeTask* task) {
 }
 
 void PoolExecutor::run_task(NodeTask* task) {
-  NodeState& node = *task->node;
+  Instance& instance = *task->instance;
   obs::WorkerCounters& shard = current_shard();
   auto* w = static_cast<Worker*>(tls_worker);
   obs::bump(shard.task_runs);
@@ -530,57 +600,101 @@ void PoolExecutor::run_task(NodeTask* task) {
   // container delivered the task.
   const std::uint32_t pre = task->sched.exchange(kRunning);
   SDAF_ASSERT(pre == kQueued);
+  // Yield for fairness; the task stays accounted as active. It goes to the
+  // shared FIFO, not our own LIFO end, so co-tenant tasks in this deque get
+  // the worker first and idle peers can take it. A notification folded in
+  // while running is subsumed by re-queuing.
+  const auto yield = [&] {
+    task->sched.exchange(kQueued);
+    enqueue_injector(task);
+  };
+  NodeState* const* const members = task->members;
+  const std::size_t size = task->size;
+  std::size_t at = 0;       // the member being stepped
+  std::size_t stalled = 0;  // consecutive members that made no progress
   for (;;) {
-    std::size_t steps = 0;
-    while (node.step()) {
-      if (w != nullptr) maybe_perturb(options_.perturb_yield_in_256, w->rng);
-      if (++steps >= options_.max_steps_per_quantum) {
-        // Yield for fairness; the task stays accounted as active. It goes
-        // to the shared FIFO, not our own LIFO end, so co-tenant tasks in
-        // this deque get the worker first and idle peers can take it. A
-        // notification folded in while running is subsumed by re-queuing.
-        task->sched.exchange(kQueued);
-        enqueue_injector(task);
-        return;
+    std::size_t steps = 0;  // productive steps of every member
+    // Step each member until it stalls, head first, pass after pass, until
+    // every member in a row made no progress. Intra-chain channels move
+    // only under this owner, so then the whole chain waits on cross-chain
+    // channels or ports -- whose transitions wake the task.
+    while (stalled < size) {
+      NodeState& node = *members[at];
+      bool progressed = false;
+      while (node.step()) {
+        progressed = true;
+        if (w != nullptr) maybe_perturb(options_.perturb_yield_in_256, w->rng);
+        if (++steps >= options_.max_steps_per_quantum) {
+          yield();
+          return;
+        }
+      }
+      stalled = progressed ? 1 : stalled + 1;
+      if (++at == size) {
+        at = 0;
+        // Between passes, injector work (port wakes, co-tenants' yields)
+        // gets the worker as on a quantum yield -- but only when this
+        // worker would take it next: with a task in its own hot slot or
+        // deque, find_task runs that first, and the yield would only push
+        // this chain through the injector (where its presence would make
+        // every other chain yield too).
+        if (stalled < size &&
+            injector_size_.load(std::memory_order_relaxed) != 0 &&
+            (w == nullptr ||
+             (w->hot.load(std::memory_order_relaxed) == nullptr &&
+              w->deque.approx_size() == 0))) {
+          yield();
+          return;
+        }
       }
     }
-    // Publish why we are about to park while still the owner (reading
-    // NodeState private fields is only safe for the owner).
-    task->park_summary.store(node.park_summary(), std::memory_order_release);
+    // Publish why each member is about to park while still the owner
+    // (reading NodeState private fields is only safe for the owner).
+    for (std::size_t i = 0; i < size; ++i)
+      instance.park_summary[members[i]->node()].store(
+          members[i]->park_summary(), std::memory_order_release);
     std::uint32_t expected = kRunning;
     if (!task->sched.compare_exchange_strong(expected, kIdle)) {
-      // kRunningNotified: a wake arrived while stepping; consume and rerun.
+      // kRunningNotified: a wake arrived while stepping; consume and rerun
+      // every member (the wake does not say which one it was for).
       task->sched.store(kRunning);
+      stalled = 0;
       continue;
     }
     obs::bump(shard.parks);
     // Parked. Dekker-style recheck against a wake that raced our last
-    // unproductive step: probe only the channels named by the summary (no
-    // NodeState access -- a new owner may already be stepping it). If the
-    // node can progress, try to reclaim it; if the reclaim CAS fails, a
-    // concurrent wake has already queued it and responsibility moved on.
-    // A newer owner overwriting park_summary is benign for the same
-    // reason: its own park runs this protocol again.
+    // unproductive step: probe only the channels named by each member's
+    // summary (no NodeState access -- a new owner may already be stepping
+    // it). If some member can progress, try to reclaim the task; if the
+    // reclaim CAS fails, a concurrent wake has already queued it and
+    // responsibility moved on. A newer owner overwriting park_summary is
+    // benign for the same reason: its own park runs this protocol again.
     // Quiescence stays exact with the lock-free SPSC channels: the park
     // CAS above is a seq_cst RMW, and every channel peer issues a seq_cst
     // fence between publishing its pushed/popped counter and checking
     // whether to wake us -- so either the peer saw the transition and
     // re-queues this task (keeping `active` nonzero), or this probe sees
-    // the peer's counter and reclaims. No third outcome exists, so when
-    // `active` hits zero no wake can be in flight. The explicit fence
-    // completes the pairing: the park CAS's seq_cst RMW alone does not
-    // order the probe's acquire loads under the standard's fence rules.
+    // the peer's counter and reclaims. No third outcome, so when `active`
+    // hits zero no wake can be in flight. The explicit fence completes the
+    // pairing: the park CAS's seq_cst RMW alone does not order the probe's
+    // acquire loads under the standard's fence rules.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (node.probe(task->park_summary.load(std::memory_order_acquire))) {
+    bool runnable = false;
+    for (std::size_t i = 0; i < size && !runnable; ++i)
+      runnable = members[i]->probe(instance.park_summary[members[i]->node()]
+                                       .load(std::memory_order_acquire));
+    if (runnable) {
       expected = kIdle;
-      if (task->sched.compare_exchange_strong(expected, kRunning)) continue;
+      if (task->sched.compare_exchange_strong(expected, kRunning)) {
+        stalled = 0;
+        continue;
+      }
     }
     break;
   }
   // This task is no longer queued or running; if it was the last one, the
   // instance is quiescent and its verdict is exact. The guest count pins
   // the instance across the window (see Instance::verdict_guests).
-  Instance& instance = *task->instance;
   instance.verdict_guests.fetch_add(1, std::memory_order_acq_rel);
   if (instance.active.fetch_sub(1) == 1) maybe_finalize(instance);
   instance.verdict_guests.fetch_sub(1, std::memory_order_release);
@@ -617,16 +731,16 @@ void PoolExecutor::maybe_finalize(Instance& instance) {
       if (instance.ports->feeds[i]->empty()) continue;
       const NodeId n = instance.ports->source_nodes[i];
       if (instance.nodes[n]->done()) continue;
-      const std::uint64_t summary = instance.tasks[n].park_summary.load(
-          std::memory_order_acquire);
+      const std::uint64_t summary =
+          instance.park_summary[n].load(std::memory_order_acquire);
       if ((summary >> exec::kParkTagShift) == exec::kParkInputs) return;
     }
     for (std::size_t i = 0; i < instance.ports->sink_nodes.size(); ++i) {
       if (instance.ports->egress[i] == nullptr) continue;
       const NodeId n = instance.ports->sink_nodes[i];
       if (instance.nodes[n]->done()) continue;
-      const std::uint64_t summary = instance.tasks[n].park_summary.load(
-          std::memory_order_acquire);
+      const std::uint64_t summary =
+          instance.park_summary[n].load(std::memory_order_acquire);
       if ((summary >> exec::kParkTagShift) != exec::kParkOutputs) continue;
       // Taps attach only to out-degree-0 sinks, so the tap is the node's
       // sole out-slot: parked-on-outputs means parked on the tap.
@@ -675,7 +789,7 @@ void PoolExecutor::finalize(Instance& instance) {
         [&](NodeId n) {
           return exec::NodeDumpInfo{
               instance.nodes[n]->describe(),
-              instance.tasks[n].park_summary.load(std::memory_order_acquire)};
+              instance.park_summary[n].load(std::memory_order_acquire)};
         },
         instance.tracer);
   }
@@ -814,7 +928,7 @@ void PoolExecutor::stream_wake(const StreamHandle& handle, NodeId node) {
   auto* instance = static_cast<Instance*>(handle.get());
   std::lock_guard lock(instance->port_mu);
   if (instance->dead.load(std::memory_order_relaxed)) return;
-  instance->executor->schedule(&instance->tasks[node]);
+  instance->executor->schedule(&instance->tasks[instance->task_of[node]]);
 }
 
 void PoolExecutor::stream_port_closed(const StreamHandle& handle) {

@@ -1,13 +1,17 @@
 // Pooled scheduler runtime: runs stream graphs as cooperatively scheduled
-// node tasks on a fixed-size worker pool, instead of one OS thread per node.
+// tasks on a fixed-size worker pool, instead of one OS thread per node.
 //
 // Motivation: one OS thread per node is the paper's model made literal but
 // cannot scale -- a 10k-node ladder costs 10k threads, and concurrent
 // graph instances multiply that. Here each node is a non-blocking state
-// machine (runtime::NodeState) that a worker steps until it can make no
-// progress, then parks; channel transitions (input filled, full output
-// drained) re-enqueue it. Threads never block inside a kernel or a channel,
-// so a pool of W workers runs any number of graphs of any size with exactly
+// machine (runtime::NodeState), and each maximal series chain of nodes --
+// edges (u, v) with out_degree(u) == 1 and in_degree(v) == 1 -- is one
+// task. A worker steps the chain's members head first, each until it
+// stalls, pass after pass, until a full pass makes no progress; then the
+// task parks. Intra-chain hand-offs never touch the scheduler; channel
+// transitions at the chain's boundary (input filled, full output drained)
+// re-enqueue it. Threads never block inside a kernel or a channel, so a
+// pool of W workers runs any number of graphs of any size with exactly
 // W + 1 OS threads.
 //
 // Scheduling (v2) is work-stealing: each worker owns a Chase-Lev deque
@@ -22,10 +26,12 @@
 // is "never falsely empty for a parked peer". See docs/SCHEDULER.md.
 //
 // Deadlock is certified *exactly*, not by watchdog timing: a per-instance
-// counter tracks queued + running tasks; nodes are only woken by channel
+// counter tracks queued + running tasks; tasks are only woken by channel
 // transitions caused by other tasks of the same instance or by port
-// transitions, so when the counter reaches zero with every port closed and
-// drained no future progress is possible. Distributing the
+// transitions (a chain's own intra-chain transitions are covered by its
+// pass loop: it parks only after a full pass without progress), so when
+// the counter reaches zero with every port closed and drained no future
+// progress is possible. Distributing the
 // ready queue does not move that quiescence point: a task counts from its
 // schedule() transition until its park decrement, wherever it sits -- a
 // hot slot, any deque, a per-tenant injector lane, or a thief's hands
@@ -80,8 +86,8 @@ class PoolExecutor {
     // 0 = std::thread::hardware_concurrency() (at least 1).
     std::size_t workers = 0;
     // Fairness quantum: a task yields to the shared injector after this
-    // many consecutive productive steps, so one large instance cannot
-    // starve co-tenants.
+    // many consecutive productive steps (summed over a chain's members), so
+    // one large instance cannot starve co-tenants.
     std::size_t max_steps_per_quantum = 256;
     // Initial capacity of each worker's stealing deque (grows on demand;
     // rounded up to a power of two). Tests shrink this to hammer the
@@ -146,8 +152,8 @@ class PoolExecutor {
   // instance, so drop it before or at wait().
   using StreamHandle = std::shared_ptr<void>;
   [[nodiscard]] StreamHandle stream_handle(TicketId ticket);
-  // Re-schedules a node task after a port transition (feed push filled an
-  // empty feed; egress pop drained a full tap).
+  // Re-schedules the task of `node`'s chain after a port transition (feed
+  // push filled an empty feed; egress pop drained a full tap).
   static void stream_wake(const StreamHandle& handle, NodeId node);
   // Reports one port closed (its EOS already pushed). The caller must wake
   // the port's node afterwards so a quiescent instance re-checks.

@@ -99,7 +99,7 @@ runtime::PoolExecutor::Options pool_options_for(const CaseSpec& spec,
       opt.lifo_slot = false;
       break;
     case Sched::StealHeavy:
-      // More workers than node tasks: a worker's local enqueue is almost
+      // More workers than tasks: a worker's local enqueue is almost
       // always drained by somebody else, so every schedule is a steal.
       // Tiny deques force ring growth to race those steals.
       opt.workers = std::min<std::size_t>(16, node_count + 2);
@@ -482,7 +482,7 @@ std::optional<std::string> run_multitenant_differential(
           ss.run = make_run_spec(g, spec);
           ss.run.backend = exec::Backend::Pooled;
           ss.run.pool = pool;
-          ss.run.tenant = "t" + std::to_string(t);
+          ss.run.tenant = 't' + std::to_string(t);
           ss.run.tenant_weight = static_cast<double>(t + 1);
           if (spec.mode != DummyMode::None) ss.run.credits = &credits;
           ss.feed_capacity = static_cast<std::size_t>(spec.num_inputs) + 1;

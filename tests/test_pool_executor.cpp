@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/core/compile.h"
 #include "src/exec/session.h"
 #include "src/exec/stream.h"
@@ -417,6 +419,229 @@ TEST(PoolExecutor, RepeatedRunsAreIndependent) {
   EXPECT_TRUE(r1.completed);
   EXPECT_TRUE(r2.completed);
   EXPECT_EQ(r1.total_data(), r2.total_data());
+}
+
+// ---- series-chain fusion: each maximal in=1/out=1 chain runs as one task
+// ---- (a chain's intra-chain channels never reach the Waker) ----
+
+// A private pool with the harness's steal-heavy or park-storm perturbation
+// (tiny deques, injected yields, 1-step quanta for park-storm) at a chosen
+// worker count.
+PoolExecutor::Options perturbed_options(std::size_t workers, bool park_storm,
+                                        std::uint64_t seed) {
+  PoolExecutor::Options popt;
+  popt.workers = workers;
+  popt.deque_capacity = 2;
+  popt.perturb_yield_in_256 = park_storm ? 128 : 64;
+  if (park_storm) popt.max_steps_per_quantum = 1;
+  popt.seed = seed;
+  return popt;
+}
+
+TEST(PoolExecutor, LongChainsBitIdenticalToSimAcrossPoolsAndQuanta) {
+  // Chain-heavy graphs with capacity-1 channels: a 24-stage pipeline (one
+  // chain) and a random ladder whose sides are long chains (buffers 1..2,
+  // compiled intervals, filtering relays so dummies cross intra-chain
+  // channels). On 1-, 2- and 4-worker pools, batch 1 and 64, steal-heavy
+  // and park-storm: verdict, fires, per-edge traffic and sink data must be
+  // bit-identical to the simulator.
+  const StreamGraph pipe = workloads::pipeline(24, 1);
+  workloads::RandomLadderOptions lopt;
+  lopt.rungs = 3;
+  lopt.left_interior = 14;
+  lopt.right_interior = 11;
+  lopt.component_edges = 1;
+  lopt.max_buffer = 2;
+  Prng grng(0xC4A1);
+  const StreamGraph ladder = workloads::random_ladder(grng, lopt);
+  const auto compiled = core::compile(ladder);
+  ASSERT_TRUE(compiled.ok);
+  const ParityCase cases[] = {
+      {pipe, DummyMode::None, {}, {}, 150, 1.0, 0x11},
+      {ladder, DummyMode::Propagation,
+       compiled.integer_intervals(core::Rounding::Floor),
+       compiled.forward_on_filter(), 150, 0.5, 0x22},
+  };
+  std::uint64_t seed = 0xF05E;
+  for (const ParityCase& c : cases) {
+    for (const std::uint32_t batch : {1u, 64u}) {
+      exec::RunSpec spec = run_spec(c);
+      spec.batch = batch;
+      exec::Session sim(c.graph, case_kernels(c));
+      const auto expected = sim.run(spec);
+      ASSERT_TRUE(expected.completed);
+      for (const std::size_t workers : {1u, 2u, 4u}) {
+        for (const bool park_storm : {false, true}) {
+          PoolExecutor pool(perturbed_options(workers, park_storm, ++seed));
+          const auto r = run_on(pool, c.graph, case_kernels(c), spec);
+          expect_parity(expected, r,
+                        "nodes=" + std::to_string(c.graph.node_count()) +
+                            " batch=" + std::to_string(batch) +
+                            " workers=" + std::to_string(workers) +
+                            (park_storm ? " park-storm" : " steal-heavy"));
+        }
+      }
+    }
+  }
+}
+
+// The node lines of a state dump ("node <name> <describe> park=<reason>").
+std::vector<std::string> node_lines(const std::string& dump) {
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  while (at < dump.size()) {
+    std::size_t end = dump.find('\n', at);
+    if (end == std::string::npos) end = dump.size();
+    if (dump.compare(at, 5, "node ") == 0)
+      out.push_back(dump.substr(at, end - at));
+    at = end + 1;
+  }
+  return out;
+}
+
+TEST(PoolExecutor, DeadlockThroughFusedChainKeepsPerNodeDump) {
+  // Fig. 2 with its A->B arm stretched into a fused chain B1->B2->B3: A
+  // filters its direct edge to C, so C waits on it while the arm fills and
+  // A blocks -- the wedge cycle runs through the chain task. The verdict
+  // must be exactly the simulator's, and the dump must still list every
+  // node with that node's own park reason (not its chain's).
+  StreamGraph g;
+  const NodeId a = g.add_node("A");
+  const NodeId b1 = g.add_node("B1");
+  const NodeId b2 = g.add_node("B2");
+  const NodeId b3 = g.add_node("B3");
+  const NodeId c = g.add_node("C");
+  g.add_edge(a, b1, 2);
+  g.add_edge(b1, b2, 2);
+  g.add_edge(b2, b3, 2);
+  g.add_edge(b3, c, 2);
+  g.add_edge(a, c, 2);
+  auto kernels = [] {
+    std::vector<std::shared_ptr<Kernel>> k;
+    k.push_back(std::make_shared<RelayKernel>(
+        workloads::adversarial_prefix_filter(1, 100)));
+    for (int i = 0; i < 4; ++i) k.push_back(pass_through_kernel());
+    return k;
+  };
+  exec::RunSpec opt;
+  opt.mode = DummyMode::None;
+  opt.num_inputs = 100;
+  exec::Session s(g, kernels());
+  const auto expected = s.run(opt);
+  ASSERT_TRUE(expected.deadlocked);
+  const auto want_nodes = node_lines(expected.state_dump);
+  ASSERT_EQ(want_nodes.size(), g.node_count());
+
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    PoolExecutor pool(adversarial_options(0xC4A17 + round));
+    const auto r = run_on(pool, g, kernels(), opt);
+    const std::string label = "round " + std::to_string(round);
+    ASSERT_TRUE(r.deadlocked) << label;
+    ASSERT_FALSE(r.completed) << label;
+    expect_parity(expected, r, label);
+    const auto got_nodes = node_lines(r.state_dump);
+    ASSERT_EQ(got_nodes.size(), g.node_count()) << r.state_dump;
+    for (NodeId n = 0; n < g.node_count(); ++n) {
+      EXPECT_EQ(got_nodes[n].rfind("node " + g.node_name(n) + " ", 0), 0u)
+          << got_nodes[n];
+      EXPECT_EQ(got_nodes[n], want_nodes[n]) << label;
+    }
+    // The chain's members wedge for different reasons: the arm is full, so
+    // B1..B3 wait on their outputs, while C waits on A's filtered edge.
+    EXPECT_NE(got_nodes[b2].find("park=blocked-on-outputs"),
+              std::string::npos)
+        << got_nodes[b2];
+    EXPECT_NE(got_nodes[c].find("park=waiting-on-inputs"), std::string::npos)
+        << got_nodes[c];
+  }
+}
+
+TEST(PoolExecutor, RestoreWithChainHeadDoneAndTailLive) {
+  // A cut inside one chain: pipeline(4) is a single chain task. Take a real
+  // mid-stream snapshot after kItems pushes, then move it to the moment the
+  // port closed at the barrier and the head flooded its EOS: the head is
+  // done, every later member is live with all data consumed. (The barrier
+  // protocol itself never picks this cut -- an in-degree-1 member finishes
+  // before it could checkpoint behind a finished producer -- but it is a
+  // consistent one.) Restore re-creates the EOS on the intra-chain channel
+  // out of the head; the restored run must end with exactly the totals of
+  // an uninterrupted push-kItems-and-close run.
+  const StreamGraph g = workloads::pipeline(4, 1);
+  constexpr std::int64_t kItems = 40;
+  exec::StreamSpec ss;
+  ss.run.backend = exec::Backend::Pooled;
+  ss.run.mode = DummyMode::None;
+  for (const bool park_storm : {false, true}) {
+    const std::string label = park_storm ? "park-storm" : "steal-heavy";
+    PoolExecutor pool(perturbed_options(2, park_storm, 0x4E5D));
+    ss.run.pool = &pool;
+    exec::RunReport want;
+    {
+      exec::Session session(g, workloads::passthrough_kernels(g));
+      exec::Stream stream = session.open(ss);
+      for (std::int64_t i = 0; i < kItems; ++i)
+        ASSERT_TRUE(stream.input(0).push(Value(i)));
+      stream.input(0).close();
+      while (stream.output(0).next()) {
+      }
+      want = stream.finish();
+      ASSERT_TRUE(want.completed) << label;
+    }
+    ckpt::StreamSnapshot snap;
+    {
+      exec::Session session(g, workloads::passthrough_kernels(g));
+      exec::Stream stream = session.open(ss);
+      for (std::int64_t i = 0; i < kItems; ++i)
+        ASSERT_TRUE(stream.input(0).push(Value(i)));
+      auto taken = stream.snapshot(std::chrono::milliseconds(5000));
+      ASSERT_TRUE(taken.has_value()) << label;
+      snap = std::move(*taken);
+      (void)stream.finish();
+    }
+    ASSERT_EQ(snap.ports[0].next_seq, static_cast<std::uint64_t>(kItems));
+    for (const auto& n : snap.nodes) ASSERT_EQ(n.done, 0) << label;
+    snap.ports[0].closed = 1;
+    snap.nodes[0].done = 1;
+    exec::Session session(g, workloads::passthrough_kernels(g));
+    auto restored = session.restore(ss, snap);
+    ASSERT_TRUE(restored.has_value()) << label;
+    std::size_t got = 0;
+    while (auto item = restored->output(0).next()) {
+      EXPECT_EQ(item->seq, got) << label;
+      ++got;
+    }
+    EXPECT_EQ(got, static_cast<std::size_t>(kItems)) << label;
+    expect_parity(want, restored->finish(), label);
+  }
+}
+
+TEST(PoolExecutor, FusedChainRunsAsFewTaskQuanta) {
+  // pipeline(32, 2) is one series chain, hence one task: on a 1-worker
+  // pool, 256 items pushed at once make ~8k member steps, i.e. tens of
+  // 256-step quanta. Unfused, every node is its own task and runs roughly
+  // once per item per buffer slot -- thousands of task runs.
+  const StreamGraph g = workloads::pipeline(32, 2);
+  constexpr std::size_t kItems = 256;
+  PoolExecutor pool(1);
+  exec::Session session(g, workloads::passthrough_kernels(g));
+  exec::StreamSpec ss;
+  ss.run.backend = exec::Backend::Pooled;
+  ss.run.pool = &pool;
+  ss.run.mode = DummyMode::None;
+  exec::Stream stream = session.open(ss);
+  std::vector<Value> items;
+  for (std::size_t i = 0; i < kItems; ++i)
+    items.emplace_back(static_cast<std::int64_t>(i));
+  ASSERT_EQ(stream.input(0).push_batch(std::move(items)), kItems);
+  stream.input(0).close();
+  std::size_t got = 0;
+  while (stream.output(0).next()) ++got;
+  EXPECT_EQ(got, kItems);
+  std::uint64_t task_runs = 0;
+  for (const auto& w : stream.metrics().workers) task_runs += w.task_runs;
+  EXPECT_TRUE(stream.finish().completed);
+  EXPECT_LT(task_runs, kItems) << "one run per node per item would be "
+                               << g.node_count() * kItems;
 }
 
 }  // namespace

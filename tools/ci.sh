@@ -70,8 +70,10 @@ check_bench_files_unchanged() {
   fi
 }
 
+# The release build is warning-free, and -Werror keeps it that way: a new
+# warning fails CI instead of scrolling by.
 echo "==> release build"
-cmake --preset release
+cmake --preset release -DSDAF_WERROR=ON
 cmake --build --preset release -j "$jobs"
 
 # The exporter contract check: a real run's Prometheus page must satisfy the
