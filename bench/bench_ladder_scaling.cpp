@@ -4,10 +4,13 @@
 //   * Non-Propagation:                O(|G|^3) (Section VI.B)
 // plus full-graph exponential baseline on small ladders for the blow-up
 // contrast. Sizes are rung counts; component_edges scales |G| per rung.
+// BM_Compile_Ladder times the whole core::compile() (analysis, intervals,
+// forwarding set) by node count, on bench_pool_scaling's ladder shape.
 #include <benchmark/benchmark.h>
 
 #include <map>
 
+#include "src/core/compile.h"
 #include "src/cs4/decompose.h"
 #include "src/intervals/baseline.h"
 #include "src/support/contracts.h"
@@ -98,6 +101,35 @@ BENCHMARK(BM_LadderRecognition)
     ->RangeMultiplier(4)
     ->Range(2, 128)
     ->Complexity(benchmark::oNSquared);
+
+// bench_pool_scaling's ladder_of(nodes): nodes/4 rungs on plain channels.
+StreamGraph pool_ladder_of(std::size_t nodes) {
+  Prng rng(0xBEEF ^ nodes);
+  workloads::RandomLadderOptions opt;
+  opt.rungs = nodes / 4;
+  opt.left_interior = nodes / 2;
+  opt.right_interior = nodes / 2;
+  opt.component_edges = 1;
+  opt.max_buffer = 4;
+  return workloads::random_ladder(rng, opt);
+}
+
+void BM_Compile_Ladder(benchmark::State& state) {
+  const StreamGraph g =
+      pool_ladder_of(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = core::compile(g);
+    SDAF_ASSERT(r.ok);
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["nodes"] = static_cast<double>(g.node_count());
+  state.counters["edges"] = static_cast<double>(g.edge_count());
+}
+BENCHMARK(BM_Compile_Ladder)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LadderProp_ExponentialBaseline(benchmark::State& state) {
   const auto& c = ladder_of(static_cast<std::size_t>(state.range(0)));

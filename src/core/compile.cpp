@@ -1,6 +1,7 @@
 #include "src/core/compile.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/graph/cycles.h"
 #include "src/graph/undirected.h"
@@ -13,57 +14,60 @@ namespace {
 
 // Marks the continuation edges of one contracted SP component: an edge is
 // schedule-capable w.r.t. the component's internal cycles iff every Pc
-// ancestor's cycles start at the edge's own tail.
-void mark_component_internal(const Skeleton& skel,
-                             const std::vector<SpTree::Index>& parents,
-                             SpTree::Index root,
+// ancestor's cycles start at the edge's own tail. One top-down pass carries
+// the first Pc ancestor's source and whether another Pc ancestor differs
+// from it (then no tail matches them all).
+void mark_component_internal(const SpTree& tree, SpTree::Index root,
                              std::vector<std::uint8_t>& forward) {
-  for (const SpTree::Index leaf : skel.tree.leaves_under(root)) {
-    const SpNode& ln = skel.tree.node(leaf);
-    for (SpTree::Index cur = leaf; cur != root; cur = parents[cur]) {
-      const SpNode& pn = skel.tree.node(parents[cur]);
-      if (pn.kind == SpKind::Parallel && pn.source != ln.source) {
-        forward[ln.edge] = 1;
-        break;
-      }
+  std::vector<std::tuple<SpTree::Index, NodeId, bool>> stack{
+      {root, kNoNode, false}};
+  while (!stack.empty()) {
+    auto [i, pc_source, mixed] = stack.back();
+    stack.pop_back();
+    const SpNode& n = tree.node(i);
+    const bool differs = pc_source != kNoNode && pc_source != n.source;
+    if (n.kind == SpKind::Leaf) {
+      if (mixed || differs) forward[n.edge] = 1;
+      continue;
     }
+    if (n.kind == SpKind::Parallel) {
+      mixed = mixed || differs;
+      if (pc_source == kNoNode) pc_source = n.source;
+    }
+    stack.emplace_back(n.left, pc_source, mixed);
+    stack.emplace_back(n.right, pc_source, mixed);
   }
 }
 
-// Marks every edge of a contracted component as continuation.
-void mark_whole_component(const Skeleton& skel, SpTree::Index root,
-                          std::vector<std::uint8_t>& forward) {
-  for (const SpTree::Index leaf : skel.tree.leaves_under(root))
-    forward[skel.tree.node(leaf).edge] = 1;
-}
-
-// Marks the non-source-out edges of a component that is the first hop of a
-// ladder-cycle run.
-void mark_component_as_first(const Skeleton& skel, SpTree::Index root,
-                             std::vector<std::uint8_t>& forward) {
+// Marks the edges of a contracted component as continuation: all of them
+// ("whole"), or all but its source-out edges when the component is the
+// first hop of every ladder-cycle run it lies on ("first").
+void mark_component(const Skeleton& skel, SpTree::Index root, bool whole,
+                    std::vector<std::uint8_t>& forward) {
   const NodeId source = skel.tree.node(root).source;
   for (const SpTree::Index leaf : skel.tree.leaves_under(root)) {
     const SpNode& ln = skel.tree.node(leaf);
-    if (ln.source != source) forward[ln.edge] = 1;
+    if (whole || ln.source != source) forward[ln.edge] = 1;
   }
 }
 
+// The layout rule of CompileResult::forward_on_filter(), in O(|G|).
 std::vector<std::uint8_t> forward_edges_cs4(const StreamGraph& g,
                                             const Cs4Analysis& analysis) {
   std::vector<std::uint8_t> forward(g.edge_count(), 0);
   const Skeleton& skel = analysis.skeleton;
-  const auto parents = skel.tree.parents();
   for (const auto& se : skel.edges)
-    mark_component_internal(skel, parents, se.tree, forward);
+    mark_component_internal(skel.tree, se.tree, forward);
+  const auto tree_of = [&](std::size_t skel_edge) {
+    return skel.edges[skel_edge].tree;
+  };
   for (const Ladder& ladder : analysis.ladders) {
-    for (const UCycle& cycle : ladder.cycles) {
-      for (const auto& run : directed_runs(skel.graph, cycle)) {
-        mark_component_as_first(skel, skel.edges[run.edges.front()].tree,
-                                forward);
-        for (std::size_t k = 1; k < run.edges.size(); ++k)
-          mark_whole_component(skel, skel.edges[run.edges[k]].tree, forward);
-      }
-    }
+    // Entry segments (i == 0) are "first"; later segments and rungs "whole".
+    for (const auto* side : {&ladder.left_seg, &ladder.right_seg})
+      for (std::size_t i = 0; i < side->size(); ++i)
+        mark_component(skel, tree_of((*side)[i]), i > 0, forward);
+    for (const LadderRung& rung : ladder.rungs)
+      mark_component(skel, tree_of(rung.skel_edge), true, forward);
   }
   return forward;
 }
@@ -114,7 +118,7 @@ CompileResult compile(const StreamGraph& g, const CompileOptions& options) {
                                              : Classification::Cs4Chain;
     result.intervals =
         options.algorithm == Algorithm::Propagation
-            ? cs4_propagation_intervals(g, analysis, options.ladder_method)
+            ? cs4_propagation_intervals(g, analysis)
             : cs4_nonprop_intervals(g, analysis);
     result.forward_edges = forward_edges_cs4(g, analysis);
     result.ok = true;

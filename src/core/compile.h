@@ -40,7 +40,6 @@ enum class GeneralPolicy : std::uint8_t {
 struct CompileOptions {
   Algorithm algorithm = Algorithm::Propagation;
   GeneralPolicy general_policy = GeneralPolicy::ExactExponential;
-  LadderMethod ladder_method = LadderMethod::Enumeration;
   std::size_t cycle_limit = 1u << 22;  // for the exponential fallback
 };
 
@@ -87,9 +86,23 @@ struct CompileResult {
   // whole cycle budget, so the knowledge must travel on at zero added gap.
   // The paper leaves this rule implicit ("dummy messages ... must be
   // propagated on all output channels"); without extending it to filtered
-  // data the Propagation Algorithm deadlocks under interior filtering (a
-  // three-node counterexample is in tests/test_executor.cpp, and
-  // EXPERIMENTS.md E2 records the reproduction finding).
+  // data the Propagation Algorithm deadlocks under interior filtering (the
+  // three-node counterexample is Executor.InteriorFilteringCounterexample
+  // in tests/test_executor.cpp).
+  //
+  // On a CS4 graph the set follows from the layout in O(|G|), with no
+  // cycle visited. Inside each contracted SP component, a leaf is forwarded
+  // iff some Pc ancestor has a source other than the leaf's tail. On each
+  // ladder, the two entry segments (left_seg[0], right_seg[0]) forward all
+  // edges but their component's source-out edges ("first"); every later
+  // side segment and every rung forwards all its edges ("whole"), because:
+  //   - the entry has no in-edge inside the block, so every cycle through
+  //     an entry segment starts at the entry;
+  //   - every later side segment continues a run of the outer cycle;
+  //   - every rung continues its entry closure X..L[u]+K vs X..R[v],
+  //     since rungs join interior vertices;
+  //   - "whole" contains "first", so this per-component choice equals the
+  //     union over all ladder cycles of first-hop/continuation marks.
   [[nodiscard]] const std::vector<std::uint8_t>& forward_on_filter() const {
     return forward_edges;
   }

@@ -26,7 +26,6 @@ Cs4Analysis analyze_cs4(const StreamGraph& g) {
   if (out.skeleton.is_single_sp()) {
     out.pure_sp = true;
     out.is_cs4 = true;
-    out.bridge_edges.push_back(0);
     return out;
   }
 
@@ -35,10 +34,7 @@ Cs4Analysis analyze_cs4(const StreamGraph& g) {
   // blocks must be SP-ladder skeletons.
   const auto blocks = biconnected_components(out.skeleton.graph);
   for (const auto& block : blocks) {
-    if (block.size() == 1) {
-      out.bridge_edges.push_back(block.front());
-      continue;
-    }
+    if (block.size() == 1) continue;
     // Terminals: the unique vertices with no in-edge / out-edge inside the
     // block.
     std::vector<std::size_t> indices(block.begin(), block.end());

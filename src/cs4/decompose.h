@@ -22,8 +22,7 @@ struct Cs4Analysis {
   std::string reason;    // why not CS4, when applicable
 
   Skeleton skeleton;
-  std::vector<Ladder> ladders;            // one per multi-edge skeleton block
-  std::vector<std::size_t> bridge_edges;  // skeleton edges outside any ladder
+  std::vector<Ladder> ladders;  // one per multi-edge skeleton block
 };
 
 [[nodiscard]] Cs4Analysis analyze_cs4(const StreamGraph& g);
@@ -32,7 +31,8 @@ enum class LadderMethod {
   // Exact minimization over the ladder's skeleton cycles (reference).
   Enumeration,
   // The paper's O(|G|) Ls/Lk/Ld recurrences of Section VI.A, plus a fixup
-  // for rungs sharing a source vertex (see DESIGN.md section 6).
+  // for rungs sharing a source vertex (see RecurrenceOptions in
+  // propagation_ladder.h).
   PaperRecurrence,
 };
 

@@ -97,105 +97,6 @@ DisjointPaths two_disjoint_paths(const StreamGraph& g, NodeId entry,
   return out;
 }
 
-// Builds the undirected cycle formed by two directed paths sharing only
-// their endpoints: path1 traversed forward, path2 walked back against its
-// direction.
-UCycle join_paths(const std::vector<EdgeId>& path1,
-                  const std::vector<EdgeId>& path2) {
-  UCycle cycle;
-  cycle.reserve(path1.size() + path2.size());
-  for (const EdgeId e : path1) cycle.push_back(CycleStep{e, true});
-  for (auto it = path2.rbegin(); it != path2.rend(); ++it)
-    cycle.push_back(CycleStep{*it, false});
-  return cycle;
-}
-
-// Direct construction of all undirected simple cycles of a valid ladder:
-// the outer cycle, two closures per rung (around the entry, around the
-// exit), and one cycle per usable rung pair. A cycle of a non-crossing
-// ladder cannot involve three or more rungs.
-std::vector<UCycle> construct_cycles(const Ladder& ladder) {
-  const auto& rungs = ladder.rungs;
-  const auto lsegs = [&](std::size_t from, std::size_t to) {
-    return std::vector<EdgeId>(ladder.left_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(from),
-                               ladder.left_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(to));
-  };
-  const auto rsegs = [&](std::size_t from, std::size_t to) {
-    return std::vector<EdgeId>(ladder.right_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(from),
-                               ladder.right_seg.begin() +
-                                   static_cast<std::ptrdiff_t>(to));
-  };
-  const auto cat = [](std::vector<EdgeId> a, EdgeId e,
-                      std::vector<EdgeId> b = {}) {
-    a.push_back(e);
-    a.insert(a.end(), b.begin(), b.end());
-    return a;
-  };
-
-  std::vector<UCycle> cycles;
-  // Outer cycle.
-  cycles.push_back(join_paths(lsegs(0, ladder.left_seg.size()),
-                              rsegs(0, ladder.right_seg.size())));
-
-  for (const LadderRung& r : rungs) {
-    const EdgeId k = static_cast<EdgeId>(r.skel_edge);
-    if (r.left_to_right) {
-      // Entry closure: X..L[la] + K  vs  X..R[ra]; sink R[ra].
-      cycles.push_back(
-          join_paths(cat(lsegs(0, r.left_pos), k), rsegs(0, r.right_pos)));
-      // Exit closure: K + R[ra]..Y  vs  L[la]..Y; source L[la].
-      cycles.push_back(join_paths(
-          cat({}, k, rsegs(r.right_pos, ladder.right_seg.size())),
-          lsegs(r.left_pos, ladder.left_seg.size())));
-    } else {
-      cycles.push_back(
-          join_paths(cat(rsegs(0, r.right_pos), k), lsegs(0, r.left_pos)));
-      cycles.push_back(join_paths(
-          cat({}, k, lsegs(r.left_pos, ladder.left_seg.size())),
-          rsegs(r.right_pos, ladder.right_seg.size())));
-    }
-  }
-
-  // Rung pairs (sorted, so la1 <= la2 and ra1 <= ra2).
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    for (std::size_t j = i + 1; j < rungs.size(); ++j) {
-      const LadderRung& a = rungs[i];
-      const LadderRung& b = rungs[j];
-      const EdgeId ka = static_cast<EdgeId>(a.skel_edge);
-      const EdgeId kb = static_cast<EdgeId>(b.skel_edge);
-      SDAF_ASSERT(a.left_pos <= b.left_pos && a.right_pos <= b.right_pos);
-      if (a.left_to_right && b.left_to_right) {
-        SDAF_ASSERT(a.left_pos < b.left_pos || a.right_pos < b.right_pos);
-        // L[la1] -K1-> R .. R[ra2]  vs  L[la1] .. L[la2] -K2-> R[ra2].
-        cycles.push_back(
-            join_paths(cat({}, ka, rsegs(a.right_pos, b.right_pos)),
-                       cat(lsegs(a.left_pos, b.left_pos), kb)));
-      } else if (!a.left_to_right && !b.left_to_right) {
-        // R[ra1] -K1-> L .. L[la2]  vs  R[ra1] .. R[ra2] -K2-> L[la2].
-        cycles.push_back(
-            join_paths(cat({}, ka, lsegs(a.left_pos, b.left_pos)),
-                       cat(rsegs(a.right_pos, b.right_pos), kb)));
-      } else if (a.left_to_right && !b.left_to_right) {
-        // Source L[la1], sink L[la2]: through K1, right side, K2 back.
-        SDAF_ASSERT(a.left_pos < b.left_pos);  // equality = directed cycle
-        cycles.push_back(join_paths(
-            cat(cat({}, ka, rsegs(a.right_pos, b.right_pos)), kb),
-            lsegs(a.left_pos, b.left_pos)));
-      } else {
-        // r2l then l2r: source R[ra1], sink R[ra2] via the left side.
-        SDAF_ASSERT(a.right_pos < b.right_pos);  // equality = directed cycle
-        cycles.push_back(join_paths(
-            cat(cat({}, ka, lsegs(a.left_pos, b.left_pos)), kb),
-            rsegs(a.right_pos, b.right_pos)));
-      }
-    }
-  }
-  return cycles;
-}
-
 // Node path visited by a directed edge sequence starting at `from`.
 std::vector<NodeId> path_nodes(const StreamGraph& g, NodeId from,
                                const std::vector<EdgeId>& edges) {
@@ -314,13 +215,81 @@ LadderRecognition recognize_ladder(const Skeleton& skel,
     }
   }
 
-  // Cycles for the enumeration-based interval engines, in skeleton edge
-  // indices. Segment arrays already hold skeleton edge indices, so the
-  // construction needs no remapping.
-  ladder.cycles = construct_cycles(ladder);
-
   out.ladder = std::move(ladder);
   return out;
+}
+
+// Direct construction from the layout: the outer cycle, two closures per
+// rung (around the entry, around the exit), and one cycle per usable rung
+// pair. A cycle of a non-crossing ladder cannot involve three or more rungs.
+// Each cycle walks its first directed path forward, then the second one
+// back against its direction, into one reused buffer.
+void for_each_ladder_cycle(const Ladder& ladder,
+                           const std::function<void(const UCycle&)>& visit) {
+  const auto& left = ladder.left_seg;
+  const auto& right = ladder.right_seg;
+  UCycle cycle;
+  cycle.reserve(left.size() + right.size() + 2);
+  const auto step = [&](std::size_t skel_edge, bool forward) {
+    cycle.push_back(CycleStep{static_cast<EdgeId>(skel_edge), forward});
+  };
+  // Side segments [from, to), walked forward or back.
+  const auto ahead = [&](const std::vector<std::size_t>& segs,
+                         std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) step(segs[i], true);
+  };
+  const auto back = [&](const std::vector<std::size_t>& segs,
+                        std::size_t from, std::size_t to) {
+    for (std::size_t i = to; i-- > from;) step(segs[i], false);
+  };
+  const auto emit = [&] {
+    visit(cycle);
+    cycle.clear();
+  };
+
+  // Outer cycle.
+  ahead(left, 0, left.size());
+  back(right, 0, right.size());
+  emit();
+
+  for (std::size_t i = 0; i < ladder.rungs.size(); ++i) {
+    // Rung a leaves its "near" side and lands on its "far" side.
+    const LadderRung& a = ladder.rungs[i];
+    const auto& near = a.left_to_right ? left : right;
+    const auto& far = a.left_to_right ? right : left;
+    const auto near_pos = [&](const LadderRung& r) {
+      return a.left_to_right ? r.left_pos : r.right_pos;
+    };
+    const auto far_pos = [&](const LadderRung& r) {
+      return a.left_to_right ? r.right_pos : r.left_pos;
+    };
+    // Entry closure: X..near + K  vs  X..far; sink at a's head.
+    ahead(near, 0, near_pos(a));
+    step(a.skel_edge, true);
+    back(far, 0, far_pos(a));
+    emit();
+    // Exit closure: K + far..Y  vs  near..Y; source at a's tail.
+    step(a.skel_edge, true);
+    ahead(far, far_pos(a), far.size());
+    back(near, near_pos(a), near.size());
+    emit();
+    // Pairs with each later rung b (sorted, so b sits at or after a on both
+    // sides): K1, far up to b, b itself (walked against its direction when
+    // b runs the same way as a), then near back to a's tail.
+    for (std::size_t j = i + 1; j < ladder.rungs.size(); ++j) {
+      const LadderRung& b = ladder.rungs[j];
+      const bool same = b.left_to_right == a.left_to_right;
+      SDAF_ASSERT(near_pos(a) <= near_pos(b) && far_pos(a) <= far_pos(b));
+      // Equal near ends: parallel rungs (same) or a directed cycle.
+      SDAF_ASSERT(near_pos(a) < near_pos(b) ||
+                  (same && far_pos(a) < far_pos(b)));
+      step(a.skel_edge, true);
+      ahead(far, far_pos(a), far_pos(b));
+      step(b.skel_edge, !same);
+      back(near, near_pos(a), near_pos(b));
+      emit();
+    }
+  }
 }
 
 }  // namespace sdaf

@@ -13,10 +13,11 @@
 // backtracking enumerator would visit.
 //
 // The cycles themselves (each uses 0, 1 or 2 rungs -- three or more would
-// force crossing rungs) are then *constructed* from the ladder layout for
-// the interval engines.
+// force crossing rungs) are visited on demand, one at a time, straight from
+// the ladder layout for the interval engines that need them.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,10 +49,6 @@ struct Ladder {
 
   // Sorted by (left_pos, right_pos); non-crossing.
   std::vector<LadderRung> rungs;
-
-  // Undirected simple cycles of this block, in *skeleton* edge indices.
-  // Retained from recognition for the enumeration-based interval engines.
-  std::vector<UCycle> cycles;
 };
 
 struct LadderRecognition {
@@ -65,5 +62,12 @@ struct LadderRecognition {
 [[nodiscard]] LadderRecognition recognize_ladder(
     const Skeleton& skel, const std::vector<std::size_t>& block_edges,
     NodeId entry, NodeId exit);
+
+// Calls `visit` once per undirected simple cycle of the ladder, in
+// *skeleton* edge indices: the outer cycle, two closures per rung and one
+// cycle per usable rung pair -- O(k^2) cycles for k rungs. The cycle is
+// valid only during the call.
+void for_each_ladder_cycle(const Ladder& ladder,
+                           const std::function<void(const UCycle&)>& visit);
 
 }  // namespace sdaf

@@ -10,7 +10,7 @@ namespace sdaf {
 std::vector<Rational> ladder_component_bounds_enum(const Skeleton& skel,
                                                    const Ladder& ladder) {
   std::vector<Rational> bounds(skel.edges.size(), Rational::infinity());
-  for (const UCycle& cycle : ladder.cycles) {
+  for_each_ladder_cycle(ladder, [&](const UCycle& cycle) {
     const auto runs = directed_runs(skel.graph, cycle);
     SDAF_ASSERT(runs.size() == 2);  // guaranteed CS4 by recognition
     for (std::size_t i = 0; i < 2; ++i) {
@@ -21,7 +21,7 @@ std::vector<Rational> ladder_component_bounds_enum(const Skeleton& skel,
       bounds[first] =
           min(bounds[first], Rational(runs[1 - i].buffer_length));
     }
-  }
+  });
   return bounds;
 }
 

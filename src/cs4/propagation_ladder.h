@@ -14,7 +14,7 @@
 namespace sdaf {
 
 // Exact: minimizes over the ladder's (polynomially many) skeleton cycles,
-// retained from recognition. O(k^2) for k rungs.
+// visited one at a time. O(k^2) cycles for k rungs.
 [[nodiscard]] std::vector<Rational> ladder_component_bounds_enum(
     const Skeleton& skel, const Ladder& ladder);
 

@@ -5,6 +5,8 @@
 #include "src/core/report.h"
 #include "src/graph/cycles.h"
 #include "src/intervals/baseline.h"
+#include "src/support/prng.h"
+#include "src/workloads/random_ladder.h"
 #include "src/workloads/topologies.h"
 
 namespace sdaf {
@@ -101,15 +103,6 @@ TEST(Compile, InfiniteIntervalsMarked) {
   for (const auto v : ints) EXPECT_EQ(v, kNoDummyInterval);
 }
 
-TEST(Compile, LadderMethodsAgreeThroughApi) {
-  CompileOptions enum_opt, rec_opt;
-  rec_opt.ladder_method = LadderMethod::PaperRecurrence;
-  const StreamGraph g = workloads::fig5_ladder(3);
-  const auto a = core::compile(g, enum_opt);
-  const auto b = core::compile(g, rec_opt);
-  EXPECT_EQ(a.intervals, b.intervals);
-}
-
 TEST(Compile, OnCycleFlags) {
   const auto r = core::compile(workloads::fig2_triangle());
   EXPECT_EQ(r.on_cycle, (std::vector<std::uint8_t>{1, 1, 1}));
@@ -156,20 +149,44 @@ TEST(Compile, ForwardSetChainedRungs) {
 }
 
 TEST(Compile, ForwardSetAgreesWithGeneralFallbackOnCs4Graphs) {
-  // The CS4 structural computation and the general cycle-enumeration one
-  // must produce the same forwarding set wherever both apply.
-  for (const StreamGraph& g :
-       {workloads::fig2_triangle(), workloads::fig3_cycle(),
-        workloads::fig4_left(), workloads::butterfly_rewrite(),
-        workloads::fig5_ladder()}) {
+  // The CS4 structural computation (from the ladder layout and the SP
+  // trees, no cycles visited) and first-edge analysis of the full graph's
+  // enumerated cycles must produce the same forwarding set wherever both
+  // apply.
+  std::vector<StreamGraph> graphs{
+      workloads::fig2_triangle(), workloads::fig3_cycle(),
+      workloads::fig4_left(), workloads::butterfly_rewrite(),
+      workloads::fig5_ladder(),
+      // Long series and parallel runs inside one SP component.
+      workloads::pipeline(2000), workloads::splitjoin(3, 200),
+      workloads::continuation_ladder(500)};
+  Prng rng(0xF0E1);
+  for (int trial = 0; trial < 48; ++trial) {
+    workloads::RandomLadderOptions ladder;
+    ladder.rungs = 1 + static_cast<std::size_t>(trial % 4);
+    ladder.left_interior = 1 + static_cast<std::size_t>(trial % 3);
+    ladder.right_interior = 1 + static_cast<std::size_t>((trial / 3) % 3);
+    ladder.component_edges = 1 + static_cast<std::size_t>((trial / 4) % 3);
+    ladder.allow_shared_endpoints = trial % 2 == 0;
+    graphs.push_back(workloads::random_ladder(rng, ladder));
+    workloads::RandomCs4Options chain;
+    chain.components = 1 + static_cast<std::size_t>(trial % 3);
+    chain.ladder = ladder;
+    chain.ladder.rungs = 1 + static_cast<std::size_t>(trial % 2);
+    chain.ladder.left_interior = 1 + static_cast<std::size_t>(trial % 2);
+    chain.ladder.right_interior =
+        1 + static_cast<std::size_t>((trial / 2) % 2);
+    chain.sp.target_edges = 6;
+    graphs.push_back(workloads::random_cs4_chain(rng, chain));
+  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const StreamGraph& g = graphs[i];
     const auto cs4 = core::compile(g);
     ASSERT_TRUE(cs4.ok);
     ASSERT_NE(cs4.classification, Classification::GeneralDag);
-    // Recompute via the exponential path by pretending the graph is
-    // general: reuse the internal logic through a butterfly-style call is
-    // not exposed, so compare against first-edge analysis of enumerated
-    // cycles directly.
-    const auto enumeration = enumerate_undirected_cycles(g);
+    const auto enumeration = enumerate_undirected_cycles(g, 1u << 20);
+    ASSERT_FALSE(enumeration.truncated);
     std::vector<std::uint8_t> expect(g.edge_count(), 0);
     for (const auto& cycle : enumeration.cycles)
       for (const auto& run : directed_runs(g, cycle))

@@ -21,14 +21,17 @@ TEST(Cs4Propagation, Fig4LeftHandComputed) {
   EXPECT_TRUE(iv[4].is_infinite());
 }
 
-TEST(Cs4Propagation, RecurrenceMatchesOnFig4Left) {
-  const StreamGraph g = workloads::fig4_left(2);
-  const auto a = analyze_cs4(g);
-  const auto enum_iv =
-      cs4_propagation_intervals(g, a, LadderMethod::Enumeration);
-  const auto rec_iv =
-      cs4_propagation_intervals(g, a, LadderMethod::PaperRecurrence);
-  EXPECT_EQ(enum_iv, rec_iv);
+TEST(Cs4Propagation, RecurrenceMatchesOnFig4LeftAndFig5) {
+  for (const StreamGraph& g :
+       {workloads::fig4_left(2), workloads::fig5_ladder(3)}) {
+    const auto a = analyze_cs4(g);
+    ASSERT_TRUE(a.is_cs4) << a.reason;
+    const auto enum_iv =
+        cs4_propagation_intervals(g, a, LadderMethod::Enumeration);
+    const auto rec_iv =
+        cs4_propagation_intervals(g, a, LadderMethod::PaperRecurrence);
+    EXPECT_EQ(enum_iv, rec_iv);
+  }
 }
 
 TEST(Cs4Propagation, SpFallbackMatchesSetivals) {

@@ -29,7 +29,9 @@ TEST(Ladder, RecognizesFig4Left) {
   EXPECT_TRUE(l.rungs[0].left_to_right ||
               !l.rungs[0].left_to_right);  // direction is side-naming relative
   EXPECT_EQ(l.left.size() + l.right.size(), 6u);  // 3 + 3 (X,interior,Y)
-  EXPECT_EQ(l.cycles.size(), 3u);
+  std::size_t cycles = 0;
+  for_each_ladder_cycle(l, [&](const UCycle&) { ++cycles; });
+  EXPECT_EQ(cycles, 3u);
 }
 
 TEST(Ladder, RecognizesFig5) {
@@ -113,8 +115,8 @@ TEST(Ladder, SegmentsTraceSides) {
   EXPECT_EQ(l.right.back(), l.exit);
 }
 
-// The recognizer *constructs* the ladder's cycles from the rung layout
-// instead of enumerating; on small skeletons the construction must agree
+// The ladder's cycles are *constructed* from the rung layout instead of
+// enumerated; on small skeletons the construction must agree
 // exactly (as canonical edge sets) with generic enumeration over the
 // skeleton block.
 TEST(Ladder, ConstructedCyclesMatchEnumeration) {
@@ -143,7 +145,11 @@ TEST(Ladder, ConstructedCyclesMatchEnumeration) {
       }
       return out;
     };
-    EXPECT_EQ(canonical(rec.ladder->cycles), canonical(enumerated.cycles))
+    std::vector<UCycle> constructed;
+    for_each_ladder_cycle(*rec.ladder, [&](const UCycle& c) {
+      constructed.push_back(c);
+    });
+    EXPECT_EQ(canonical(constructed), canonical(enumerated.cycles))
         << "trial " << trial << " rungs=" << opt.rungs;
   }
 }

@@ -20,6 +20,8 @@
 #                          # sdafd must refuse an over-budget Open softly
 #                          # and account it in
 #                          # sdaf_admission_rejected_total on STATS;
+#                          # then the compile memory gate (a 4000-node
+#                          # ladder compiles under ulimit -v 512 MiB);
 #                          # finally the pooled scaling ladder -- asserted
 #                          # on >= 4-core runners, skipped with a visible
 #                          # warning on smaller ones (no ctest, ~seconds)
@@ -247,10 +249,28 @@ check_admission() {
   fi
 }
 
+# The compile memory gate: sdafd admits topologies of up to 4096 nodes, so
+# compiling bench_pool_scaling's 4000-node ladder (BM_Compile_Ladder/4000,
+# one iteration: it outlasts the default min time) must fit in 512 MiB of
+# address space. The limit is set with ulimit -v in a subshell, so it binds
+# only the bench process. A compile that stores the ladder's O(k^2) cycles
+# again needs ~1.8 GiB here and dies on the limit.
+check_compile_memory() {
+  echo "==> compile memory gate (BM_Compile_Ladder/4000 under 512 MiB)"
+  if ! (ulimit -v $((512 * 1024)) &&
+        build/release/bench_ladder_scaling \
+            --benchmark_filter='BM_Compile_Ladder/4000$' >/dev/null); then
+    echo "ci: compiling the 4000-node ladder does not fit in 512 MiB of" \
+         "address space" >&2
+    exit 1
+  fi
+}
+
 if [[ "$mode" == "--smoke" ]]; then
   check_prom
   check_service
   check_admission
+  check_compile_memory
   check_pool_scaling
   check_bench_files_unchanged
   echo "==> ci OK (smoke)"
